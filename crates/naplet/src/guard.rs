@@ -7,10 +7,12 @@
 //! guard also sees the proof store (the object's cross-server history) and
 //! may record state of its own.
 //!
-//! [`CoordinatedGuard`] keeps its per-object state (open session, clean
-//! record) in **per-object shards** behind fine-grained locks and exposes
-//! a `&self` decision path ([`CoordinatedGuard::decide`]), so one guard
-//! can serve concurrent per-object request streams; the
+//! [`CoordinatedGuard`] keeps one **object table**: each entry holds the
+//! object's custody on this member and, once the object is enrolled, a
+//! shard (enrolled roles, open session, clean record) behind its own
+//! lock. One table lookup per decision yields both. The decision path
+//! ([`CoordinatedGuard::decide`]) takes `&self`, so one guard can serve
+//! concurrent per-object request streams; the
 //! [`SecurityGuard`] impl is a thin `&mut` adapter over it. The decision
 //! core itself is `&self` too ([`ExtendedRbac::decide`]), held behind a
 //! read-write lock that decisions only *read* — writers are the rare
@@ -21,8 +23,6 @@
 use stacl_coalition::{DecisionKind, Placement, ProofStore, Verdict};
 use stacl_ids::sync::{Mutex, RwLock};
 use stacl_rbac::{AccessRequest, ExtendedRbac, ObjectGateExport, SessionId};
-use stacl_srac::check::{check_residual_cached, ConstraintCache, Semantics};
-use stacl_srac::{Constraint, ConstraintCursor};
 use stacl_sral::ast::{name, Name};
 use stacl_sral::{Access, Program};
 use stacl_temporal::TimePoint;
@@ -132,14 +132,37 @@ pub struct ObjectHandoff {
     pub gate: ObjectGateExport,
 }
 
-/// Per-object guard state, one shard per enrolled object.
+/// Per-object decision state, one shard per enrolled object.
 #[derive(Debug)]
 struct ObjectState {
+    /// Roles to activate when the session opens.
+    roles: Vec<Name>,
     /// The object's open session, established on first contact.
     session: Option<SessionId>,
     /// True while every decision so far was a grant — the condition under
     /// which preventive-mode spatial approvals may be reused.
     clean: bool,
+}
+
+/// One object's entry in the guard's table. An entry exists once the
+/// object is enrolled or its custody is touched; a custody-only entry
+/// (an object parked here but never enrolled) carries no shard.
+#[derive(Debug)]
+struct ObjectEntry {
+    /// This member's custody of the object. Consulted only when custody
+    /// enforcement is on; single-process guards never pay for it.
+    custody: Custody,
+    /// The decision shard, present exactly when the object is enrolled.
+    shard: Option<Arc<Mutex<ObjectState>>>,
+}
+
+impl Default for ObjectEntry {
+    fn default() -> Self {
+        ObjectEntry {
+            custody: Custody::Remote,
+            shard: None,
+        }
+    }
 }
 
 /// The coordinated guard: extended RBAC with spatio-temporal constraints
@@ -149,8 +172,9 @@ struct ObjectState {
 /// opens a session and activates the roles registered for the object via
 /// [`CoordinatedGuard::enroll`].
 ///
-/// All state lives behind interior locks: each object's session/clean
-/// record in its own shard, the decision core behind a read-write lock
+/// All state lives behind interior locks: one object table whose
+/// entries hold custody and, for enrolled objects, a shard with the
+/// roles/session/clean record; the decision core behind a read-write lock
 /// that the decide path only ever *reads* (the core's own per-object
 /// gates provide mutual exclusion where it matters — see
 /// `ExtendedRbac`'s module docs). The real decision path is the `&self`
@@ -162,19 +186,13 @@ pub struct CoordinatedGuard {
     /// take the write lock. Lock order: object shard first, then this —
     /// never the reverse.
     rbac: RwLock<ExtendedRbac>,
-    /// object → roles to activate on first contact.
-    enrollments: RwLock<HashMap<Name, Vec<Name>>>,
-    /// object → its guard-state shard (created lazily, only for enrolled
-    /// objects).
-    objects: RwLock<HashMap<Name, Arc<Mutex<ObjectState>>>>,
+    /// object → its custody and (once enrolled) decision shard. The map
+    /// lock is never held while a shard or the core is locked.
+    objects: RwLock<HashMap<Name, ObjectEntry>>,
     mode: EnforcementMode,
     /// Whether monotone approval reuse is enabled (on by default; turn
     /// off to measure the unoptimised Eq. 3.1 gate — see E10).
     approval_reuse: bool,
-    /// object → custody state on this coalition member. Consulted only
-    /// when `custody_enforced` is set; single-process guards never pay
-    /// for it.
-    custody: RwLock<HashMap<Name, Custody>>,
     /// Whether decisions require resident custody (default off — the
     /// in-process guard is its own sole custodian).
     custody_enforced: AtomicBool,
@@ -196,11 +214,9 @@ impl CoordinatedGuard {
     pub fn new(rbac: ExtendedRbac) -> Self {
         CoordinatedGuard {
             rbac: RwLock::new(rbac),
-            enrollments: RwLock::new(HashMap::new()),
             objects: RwLock::new(HashMap::new()),
             mode: EnforcementMode::Preventive,
             approval_reuse: true,
-            custody: RwLock::new(HashMap::new()),
             custody_enforced: AtomicBool::new(false),
             placement: RwLock::new(None),
             table_pool: Mutex::new(Vec::new()),
@@ -221,14 +237,30 @@ impl CoordinatedGuard {
 
     /// Register which roles an object activates when it first appears
     /// (the Naplet authentication + role-activation step of §5.1).
+    /// Re-enrolling replaces the roles; a session already open keeps the
+    /// roles it was opened with.
     pub fn enroll<S: AsRef<str>>(
         &self,
         object: impl AsRef<str>,
         roles: impl IntoIterator<Item = S>,
     ) {
-        self.enrollments
-            .write()
-            .insert(name(object), roles.into_iter().map(name).collect());
+        let roles: Vec<Name> = roles.into_iter().map(name).collect();
+        let mut map = self.objects.write();
+        let entry = map.entry(name(object)).or_default();
+        match &entry.shard {
+            Some(shard) => {
+                let shard = Arc::clone(shard);
+                drop(map);
+                shard.lock().roles = roles;
+            }
+            None => {
+                entry.shard = Some(Arc::new(Mutex::new(ObjectState {
+                    roles,
+                    session: None,
+                    clean: true,
+                })))
+            }
+        }
     }
 
     /// Run a closure against the underlying RBAC engine (e.g. to inspect
@@ -250,29 +282,36 @@ impl CoordinatedGuard {
         f(&self.rbac.read())
     }
 
-    /// The state shard for `object`, created on first contact — but only
-    /// for enrolled objects, so strangers cannot grow the shard map.
-    fn object_state(&self, object: &str) -> Option<Arc<Mutex<ObjectState>>> {
-        if let Some(s) = self.objects.read().get(object) {
-            return Some(Arc::clone(s));
-        }
-        if !self.enrollments.read().contains_key(object) {
-            return None;
-        }
+    /// The decision shard of an enrolled `object`.
+    fn shard(&self, object: &str) -> Option<Arc<Mutex<ObjectState>>> {
+        self.objects.read().get(object)?.shard.clone()
+    }
+
+    /// Set this member's custody of `object`, adding a custody-only
+    /// entry for an object it has not seen.
+    fn set_custody(&self, object: &str, custody: Custody) {
         let mut map = self.objects.write();
-        Some(Arc::clone(map.entry(name(object)).or_insert_with(|| {
-            Arc::new(Mutex::new(ObjectState {
-                session: None,
-                clean: true,
-            }))
-        })))
+        match map.get_mut(object) {
+            Some(entry) => entry.custody = custody,
+            None => {
+                map.insert(
+                    name(object),
+                    ObjectEntry {
+                        custody,
+                        shard: None,
+                    },
+                );
+            }
+        }
     }
 
     /// Open the object's session and activate its enrolled roles. Called
     /// under the object's shard lock with the rbac lock held.
-    fn open_session_for(&self, rbac: &mut ExtendedRbac, object: &str) -> Option<SessionId> {
-        let enrollments = self.enrollments.read();
-        let roles = enrollments.get(object)?;
+    fn open_session_for(
+        rbac: &mut ExtendedRbac,
+        object: &str,
+        roles: &[Name],
+    ) -> Option<SessionId> {
         let sid = rbac.open_session(object, vec![]).ok()?;
         for role in roles {
             // A role the user isn't authorized for fails activation; the
@@ -297,11 +336,10 @@ impl CoordinatedGuard {
     /// This member's custody state for `object`. Unknown objects are
     /// [`Custody::Remote`]: nobody is custodian until an arrival claims it.
     pub fn custody_of(&self, object: &str) -> Custody {
-        self.custody
+        self.objects
             .read()
             .get(object)
-            .copied()
-            .unwrap_or(Custody::Remote)
+            .map_or(Custody::Remote, |e| e.custody)
     }
 
     /// Install the coalition's placement ring and this member's name on
@@ -356,23 +394,17 @@ impl CoordinatedGuard {
                 }
             }
         }
-        self.claim_custody(object);
+        self.set_custody(object, Custody::Resident);
         Ok(())
-    }
-
-    /// Unconditionally mark `object` resident — the internal path shared
-    /// by validated claims and authoritative handoff imports.
-    fn claim_custody(&self, object: &str) {
-        self.custody.write().insert(name(object), Custody::Resident);
     }
 
     /// The objects currently resident on this member — the drain list a
     /// custody rebalance walks after a membership change.
     pub fn resident_objects(&self) -> Vec<String> {
-        self.custody
+        self.objects
             .read()
             .iter()
-            .filter(|(_, c)| **c == Custody::Resident)
+            .filter(|(_, e)| e.custody == Custody::Resident)
             .map(|(n, _)| n.to_string())
             .collect()
     }
@@ -382,19 +414,16 @@ impl CoordinatedGuard {
     /// [`CoordinatedGuard::take_custody`] (or a successful
     /// [`CoordinatedGuard::import_object`]) resolves it.
     pub fn begin_handoff(&self, object: &str) {
-        self.custody.write().insert(name(object), Custody::InFlight);
+        self.set_custody(object, Custody::InFlight);
     }
 
     /// Export `object`'s transferable state and release custody: this
     /// member stops answering for the object the moment the export is
     /// taken (fail-safe — during the transfer *nobody* grants).
     pub fn export_object(&self, object: &str) -> ObjectHandoff {
-        let clean = self
-            .object_state(object)
-            .map(|st| st.lock().clean)
-            .unwrap_or(true);
+        let clean = self.shard(object).is_none_or(|st| st.lock().clean);
         let gate = self.rbac.read().export_gate(object);
-        self.custody.write().insert(name(object), Custody::Remote);
+        self.set_custody(object, Custody::Remote);
         ObjectHandoff { clean, gate }
     }
 
@@ -402,14 +431,14 @@ impl CoordinatedGuard {
     /// custody. Fails (leaving custody unclaimed) if the object is not
     /// enrolled here or the handoff is malformed.
     pub fn import_object(&self, object: &str, handoff: &ObjectHandoff) -> Result<(), String> {
-        let Some(state) = self.object_state(object) else {
+        let Some(state) = self.shard(object) else {
             // A custody-only move: the previous custodian held residency
             // but no decision state (never enrolled, never decided — the
             // common case for the cold majority of a million-object
             // coalition). Park residency here; enrollment arrives with
             // policy when the object first matters.
             if handoff.clean && handoff.gate == ObjectGateExport::default() {
-                self.claim_custody(object);
+                self.set_custody(object, Custody::Resident);
                 return Ok(());
             }
             return Err(format!("object `{object}` is not enrolled on this member"));
@@ -419,7 +448,7 @@ impl CoordinatedGuard {
         // An explicit import is authoritative: the previous custodian
         // already released, so residency transfers even if the ring says
         // this member is not the home (a rebalance drain will move it).
-        self.claim_custody(object);
+        self.set_custody(object, Custody::Resident);
         Ok(())
     }
 
@@ -450,19 +479,21 @@ impl CoordinatedGuard {
         proofs: &ProofStore,
         table: &mut AccessTable,
     ) -> Verdict {
+        // One table lookup yields both the custody state and the shard.
+        let (custody, state) = match self.objects.read().get(req.object) {
+            Some(e) => (e.custody, e.shard.clone()),
+            None => (Custody::Remote, None),
+        };
         // Custody gate first: a non-custodian member must not answer from
         // state that may be stale or in transit.
-        if self.custody_enforced() {
-            let c = self.custody_of(req.object);
-            if c != Custody::Resident {
-                return Verdict::denied(
-                    DecisionKind::DeniedCoordination,
-                    format!("object custody is {} on this member", c.label()),
-                )
-                .with_epoch(self.rbac.read().epoch());
-            }
+        if self.custody_enforced() && custody != Custody::Resident {
+            return Verdict::denied(
+                DecisionKind::DeniedCoordination,
+                format!("object custody is {} on this member", custody.label()),
+            )
+            .with_epoch(self.rbac.read().epoch());
         }
-        let Some(state) = self.object_state(req.object) else {
+        let Some(state) = state else {
             return DecisionKind::DeniedNoPermission.into();
         };
         // Lock order: object shard, then the rbac core.
@@ -473,7 +504,7 @@ impl CoordinatedGuard {
                 // First contact: session open mutates the core — brief
                 // write lock, released before the decision proper.
                 let mut rbac = self.rbac.write();
-                let Some(sid) = self.open_session_for(&mut rbac, req.object) else {
+                let Some(sid) = Self::open_session_for(&mut rbac, req.object, &st.roles) else {
                     return DecisionKind::DeniedNoPermission.into();
                 };
                 st.session = Some(sid);
@@ -659,107 +690,6 @@ impl SecurityGuard for CoordinatedGuard {
     }
 }
 
-/// A guard enforcing one global SRAC constraint on every object — handy
-/// for tests and ablations that isolate the spatial checker from RBAC.
-///
-/// Checks run through the same per-object [`ConstraintCursor`] fast path
-/// as the coordinated gate: the old implementation re-materialised the
-/// object's *entire* proof history (one `Trace` allocation + full
-/// automaton re-walk) on every check; the cursor folds in only the
-/// proofs issued since the previous check and falls back to the
-/// from-scratch walk exactly when invalid (same rules as
-/// `ExtendedRbac` — see DESIGN.md §8).
-pub struct SpatialOnlyGuard {
-    constraint: Constraint,
-    cache: ConstraintCache,
-    cursors: HashMap<Name, ConstraintCursor>,
-}
-
-impl SpatialOnlyGuard {
-    /// Guard with a single coalition-wide constraint.
-    pub fn new(constraint: Constraint) -> Self {
-        SpatialOnlyGuard {
-            constraint,
-            cache: ConstraintCache::new(),
-            cursors: HashMap::new(),
-        }
-    }
-
-    fn holds(
-        &mut self,
-        req: &GuardRequest<'_>,
-        proofs: &ProofStore,
-        table: &mut AccessTable,
-    ) -> bool {
-        let watermark = proofs.watermark_of(req.object);
-        // Same decline-attribution as `ExtendedRbac::spatial_holds` minus
-        // the rules that don't exist here (no policy generation, no team
-        // scope): the first failing DESIGN.md §8 rule is counted.
-        match self.cursors.get_mut(req.object) {
-            None => stacl_obs::count(stacl_obs::Counter::CursorColdStart),
-            Some(cur) if !cur.in_sync_with(table) => {
-                stacl_obs::count(stacl_obs::Counter::CursorDeclineTableVersion)
-            }
-            Some(cur) if cur.consumed() > watermark => {
-                stacl_obs::count(stacl_obs::Counter::CursorDeclineWatermark)
-            }
-            Some(cur) => {
-                let mut ok = true;
-                {
-                    let tbl: &AccessTable = table;
-                    proofs.visit_suffix(req.object, cur.consumed(), |p| {
-                        if ok {
-                            ok = cur.advance_access(&p.access, tbl);
-                        }
-                    });
-                }
-                if ok {
-                    if let Some(h) = cur.check_residual_program(req.remaining, table) {
-                        stacl_obs::count(stacl_obs::Counter::CursorFastPathHit);
-                        return h;
-                    }
-                }
-                stacl_obs::count(stacl_obs::Counter::CursorDeclineUnknownSymbol);
-            }
-        }
-        // Slow path + cursor rebuild.
-        let history = proofs.history_of(req.object, table);
-        let holds = check_residual_cached(
-            &history,
-            req.remaining,
-            &self.constraint,
-            table,
-            Semantics::ForAll,
-            &mut self.cache,
-        )
-        .holds;
-        let mut cursor = ConstraintCursor::new(&self.constraint, table, &mut self.cache);
-        if cursor.advance_trace(&history) {
-            self.cursors.insert(name(req.object), cursor);
-        } else {
-            self.cursors.remove(req.object);
-        }
-        holds
-    }
-}
-
-impl SecurityGuard for SpatialOnlyGuard {
-    fn check(
-        &mut self,
-        req: &GuardRequest<'_>,
-        proofs: &ProofStore,
-        table: &mut AccessTable,
-    ) -> Verdict {
-        let v = if self.holds(req, proofs, table) {
-            Verdict::granted()
-        } else {
-            Verdict::denied(DecisionKind::DeniedSpatial, self.constraint.to_string())
-        };
-        stacl_obs::count(v.kind.counter());
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,29 +750,6 @@ mod tests {
         assert_eq!(
             g.decide(&req2, &proofs, &mut table).kind,
             DecisionKind::DeniedNoPermission
-        );
-    }
-
-    #[test]
-    fn spatial_only_guard_enforces_constraint() {
-        use stacl_srac::parser::parse_constraint;
-        let mut g = SpatialOnlyGuard::new(parse_constraint("count(0, 1, resource=rsw)").unwrap());
-        let proofs = ProofStore::new();
-        let mut table = AccessTable::new();
-        let a = Access::new("exec", "rsw", "s1");
-        let p = access("exec", "rsw", "s1");
-        let req = GuardRequest {
-            object: "o",
-            access: &a,
-            remaining: &p,
-            time: tp(0.0),
-        };
-        assert!(g.check(&req, &proofs, &mut table).is_granted());
-        // After one proof, a second access would exceed the cap.
-        proofs.issue("o", a.clone(), tp(0.0));
-        assert_eq!(
-            g.check(&req, &proofs, &mut table).kind,
-            DecisionKind::DeniedSpatial
         );
     }
 
@@ -914,6 +821,106 @@ mod tests {
         g3.set_custody_enforcement(true);
         assert!(g3.import_object("stranger", &h).is_err());
         assert_eq!(g3.custody_of("stranger"), Custody::Remote);
+    }
+
+    /// One object-table entry through its whole lifecycle: parked by a
+    /// custody-only import (no shard), enrolled, first contact, exported
+    /// and imported on another member.
+    #[test]
+    fn object_entry_lifecycle_from_custody_only_parking() {
+        fn model() -> RbacModel {
+            let mut m = RbacModel::new();
+            m.add_user("n1");
+            m.add_role("r");
+            m.add_permission(Permission::new(
+                "p",
+                AccessPattern::parse("read:*:*").unwrap(),
+            ))
+            .unwrap();
+            m.assign_permission("r", "p").unwrap();
+            m.assign_user("n1", "r").unwrap();
+            m
+        }
+        let a = Access::new("read", "x", "s");
+        let p = access("read", "x", "s");
+        let w = Access::new("write", "x", "s");
+        let wp = access("write", "x", "s");
+        let req = |access, remaining, t| GuardRequest {
+            object: "n1",
+            access,
+            remaining,
+            time: tp(t),
+        };
+        let proofs = ProofStore::new();
+        let mut table = AccessTable::new();
+        let g1 = CoordinatedGuard::new(ExtendedRbac::new(model()));
+        g1.set_custody_enforcement(true);
+
+        // 1. A custody-only import parks the unenrolled object.
+        let parked = ObjectHandoff {
+            clean: true,
+            gate: ObjectGateExport::default(),
+        };
+        g1.import_object("n1", &parked)
+            .expect("clean default handoff parks without enrollment");
+        assert_eq!(g1.custody_of("n1"), Custody::Resident);
+        assert_eq!(g1.resident_objects(), vec!["n1".to_string()]);
+        // Resident but shardless: past the custody gate, no permission.
+        assert_eq!(
+            g1.decide(&req(&a, &p, 0.0), &proofs, &mut table).kind,
+            DecisionKind::DeniedNoPermission
+        );
+
+        // 2–3. Enrolling adds the shard; the first decide opens the
+        // session and grants.
+        g1.enroll("n1", ["r"]);
+        assert!(g1.with_rbac_read(|r| r.session(SessionId(0)).is_none()));
+        g1.note_arrival("n1", tp(0.0));
+        assert!(g1
+            .decide(&req(&a, &p, 1.0), &proofs, &mut table)
+            .is_granted());
+        g1.with_rbac_read(|r| {
+            let s = r.session(SessionId(0)).expect("session opened");
+            assert!(s.active_roles().contains("r"));
+        });
+        // An uncovered access denies and clears the clean record.
+        assert_eq!(
+            g1.decide(&req(&w, &wp, 2.0), &proofs, &mut table).kind,
+            DecisionKind::DeniedNoPermission
+        );
+
+        // 4. Export releases custody and carries the clean record.
+        let h = g1.export_object("n1");
+        assert_eq!(g1.custody_of("n1"), Custody::Remote);
+        assert!(g1.resident_objects().is_empty());
+        assert!(!h.clean);
+        assert_eq!(h.gate.arrivals, vec![tp(0.0)]);
+        assert_eq!(
+            g1.decide(&req(&a, &p, 3.0), &proofs, &mut table).kind,
+            DecisionKind::DeniedCoordination
+        );
+
+        // 5. A second member restores it.
+        let g2 = CoordinatedGuard::new(ExtendedRbac::new(model()));
+        g2.set_custody_enforcement(true);
+        g2.enroll("n1", ["r"]);
+        g2.begin_handoff("n1");
+        g2.import_object("n1", &h).expect("enrolled import");
+        assert_eq!(g2.custody_of("n1"), Custody::Resident);
+        assert!(g2
+            .decide(&req(&a, &p, 3.0), &proofs, &mut table)
+            .is_granted());
+        let back = g2.export_object("n1");
+        assert!(!back.clean, "the clean record travelled");
+        assert_eq!(back.gate.arrivals, h.gate.arrivals);
+
+        // A non-default handoff for an unenrolled object still errors and
+        // leaves custody unclaimed.
+        let g3 = CoordinatedGuard::new(ExtendedRbac::new(model()));
+        g3.set_custody_enforcement(true);
+        assert!(g3.import_object("n1", &h).is_err());
+        assert_eq!(g3.custody_of("n1"), Custody::Remote);
+        assert!(g3.resident_objects().is_empty());
     }
 
     /// Satellite regression: with a placement ring installed, two members

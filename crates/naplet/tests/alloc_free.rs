@@ -7,6 +7,10 @@
 //! thread during the warm-up below) must itself be allocation-free, and
 //! the counters must account for every decision in the window.
 //!
+//! Two phases share the one test: a single-process guard (custody off)
+//! and a coalition member's guard (custody enforced, the object claimed
+//! through `take_custody`), whose decisions also pass the custody gate.
+//!
 //! Lives in `tests/` because the naplet library itself forbids unsafe
 //! code and a counting `#[global_allocator]` needs an unsafe impl. Keep
 //! this file to a single `#[test]`: other tests in the same binary would
@@ -53,8 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn steady_state_grant_allocates_nothing() {
+fn guard() -> CoordinatedGuard {
     // Full policy: spatial cap (high enough to keep granting), a temporal
     // budget, and a validity class — the worst-case decision surface.
     let model = parse_policy(
@@ -72,24 +75,29 @@ fn steady_state_grant_allocates_nothing() {
         .with_mode(EnforcementMode::Preventive)
         .with_approval_reuse(true);
     guard.enroll("n1", ["worker"]);
+    guard
+}
+
+/// Warm `guard` up, then require 100 steady grants to allocate nothing.
+fn assert_steady_grants_allocate_nothing(guard: &CoordinatedGuard, phase: &str) {
     guard.note_arrival("n1", TimePoint::new(0.0));
 
     let proofs = ProofStore::new();
     let mut table = AccessTable::new();
     let a = Access::new("exec", "rsw", "s1");
     let remaining = access("exec", "rsw", "s1");
+    let req = |i: u32| GuardRequest {
+        object: "n1",
+        access: &a,
+        remaining: &remaining,
+        time: TimePoint::new(f64::from(i)),
+    };
 
     // Warm up: opens the session, interns every name, runs the spatial
     // check once (approval is reusable afterwards) and builds the
     // timeline with its validity memo.
     for i in 0..3u32 {
-        let req = GuardRequest {
-            object: "n1",
-            access: &a,
-            remaining: &remaining,
-            time: TimePoint::new(f64::from(i)),
-        };
-        assert!(guard.decide(&req, &proofs, &mut table).is_granted());
+        assert!(guard.decide(&req(i), &proofs, &mut table).is_granted());
     }
 
     // Steady state: not one heap allocation across many checks — with
@@ -101,24 +109,33 @@ fn steady_state_grant_allocates_nothing() {
     let obs_before = stacl_obs::snapshot();
     let before = ALLOCS.load(Ordering::SeqCst);
     for i in 3..103u32 {
-        let req = GuardRequest {
-            object: "n1",
-            access: &a,
-            remaining: &remaining,
-            time: TimePoint::new(f64::from(i)),
-        };
-        assert!(guard.decide(&req, &proofs, &mut table).is_granted());
+        assert!(guard.decide(&req(i), &proofs, &mut table).is_granted());
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "steady-state grants must be allocation-free ({} allocations in 100 checks)",
+        "{phase}: steady-state grants must be allocation-free ({} allocations in 100 checks)",
         after - before
     );
     // Taking a snapshot is fixed-size (no heap); diffing proves the
     // telemetry observed exactly the 100 granted decisions above.
     let d = stacl_obs::snapshot().diff(&obs_before);
-    assert_eq!(d.counter(stacl_obs::Counter::VerdictGranted), 100);
-    assert_eq!(d.verdict_total(), 100);
+    assert_eq!(
+        d.counter(stacl_obs::Counter::VerdictGranted),
+        100,
+        "{phase}"
+    );
+    assert_eq!(d.verdict_total(), 100, "{phase}");
+}
+
+#[test]
+fn steady_state_grant_allocates_nothing() {
+    assert_steady_grants_allocate_nothing(&guard(), "custody off");
+
+    // The daemon's configuration: custody enforced, object claimed.
+    let member = guard();
+    member.set_custody_enforcement(true);
+    member.take_custody("n1").expect("no ring: claim is free");
+    assert_steady_grants_allocate_nothing(&member, "custody enforced");
 }
