@@ -8,8 +8,8 @@
 //! | mode | path |
 //! |---|---|
 //! | `in-process`      | `CoordinatedGuard::decide` directly |
-//! | `wire-sequential` | one `Decide` frame per decision over loopback TCP (v1) |
-//! | `wire-batch`      | one `DecideBatch` frame per 32 time steps (all objects) |
+//! | `wire-sequential` | one `Decide2` round trip per decision over loopback TCP (window 1) |
+//! | `wire-batch`      | one `DecideBatch2` frame per 32 time steps (all objects) |
 //! | `wire-pipelined-wN` | E16: a window of N correlated `Decide2` frames in flight |
 //!
 //! The pipelined phase sweeps the window depth; the best window's
@@ -599,7 +599,7 @@ fn run_wire_pipelined(
     let remaining: Vec<Vec<Access>> = vocab.iter().map(|a| vec![a.clone()]).collect();
     let start = Instant::now();
     let mut granted = 0usize;
-    let mut p = client.pipeline(window).expect("daemon speaks protocol v2");
+    let mut p = client.pipeline(window).expect("pipeline");
     for k in 0..accesses {
         let a = &vocab[k % vocab.len()];
         let rem = &remaining[k % vocab.len()];

@@ -99,4 +99,4 @@ USAGE:
                [--enroll obj=role+role,...]
   stacl net-decide --addr host:port --object NAME --access \"op res server\"
                [--remaining \"op res s; ...\"] [--time T] [--arrive true|false]
-               [--from PEER] [--metrics true|false]";
+               [--from PEER] [--metrics true|false] [--pipeline W]";

@@ -11,17 +11,22 @@
 //! becomes a counted `DeniedCoordination` verdict instead of an error —
 //! an unreachable guard never fails open.
 //!
-//! ## Pipelining (protocol v2)
+//! ## One correlated decide path
 //!
-//! The handshake offers protocol 2; a daemon that accepts unlocks
-//! [`Client::pipeline`]: a window of up to N request-id-correlated
-//! `Decide2` frames in flight at once, written coalesced (one syscall
-//! flushes many requests) and matched to their `Verdict2` replies by id,
-//! not arrival order. A full window applies **backpressure** — submit
-//! blocks until a reply frees a slot; nothing is ever dropped.
-//! [`Client::decide_stream_failsafe`] is the pipelined fail-safe driver:
-//! any transport failure resolves *every* unresolved request to a
-//! counted `DeniedCoordination`.
+//! Every decision travels as a request-id-correlated `Decide2` frame
+//! (a batch as one `DecideBatch2`), matched to its `Verdict2` or `Err2`
+//! reply by id, not arrival order. [`Client::pipeline`] keeps a window
+//! of up to N of them in flight at once, written coalesced (one syscall
+//! flushes many requests). A full window applies **backpressure** —
+//! submit blocks until a reply frees a slot; nothing is ever dropped.
+//! [`Client::decide`] is the same path at window 1.
+//!
+//! An `Err2` resolves only the request whose id it echoes: in a
+//! pipeline that request becomes a counted fail-safe
+//! `DeniedCoordination`, in [`Client::decide`] an error; the rest of the
+//! window keeps its real verdicts. [`Client::decide_stream_failsafe`] is
+//! the pipelined fail-safe driver: a transport failure resolves *every*
+//! unresolved request to a counted `DeniedCoordination`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -33,8 +38,8 @@ use stacl_coalition::{DecisionKind, Verdict};
 use stacl_obs::Counter;
 use stacl_sral::ast::Access;
 
-use crate::frames::{kind_from_u8, DecideItem, Frame, WireAccess};
-use crate::wire::{self, FrameAssembler, WireError, PROTOCOL_VERSION, PROTOCOL_VERSION_2};
+use crate::frames::{kind_from_u8, DecideItem, Frame, WireAccess, ERR_NOT_CUSTODIAN};
+use crate::wire::{self, FrameAssembler, WireError, PROTOCOL_VERSION};
 
 /// A client-side protocol failure.
 #[derive(Debug)]
@@ -43,7 +48,9 @@ pub enum NetError {
     Io(io::Error),
     /// A reply failed to decode.
     Wire(WireError),
-    /// The daemon answered with an `Err` frame.
+    /// The daemon answered with an `Err` frame, or an `Err2` for this
+    /// request (`ERR_NOT_CUSTODIAN` on a misrouted decide: [`Router`]
+    /// locates the home and takes the hop).
     Daemon {
         /// The machine-readable code (`ERR_*`).
         code: u8,
@@ -52,18 +59,6 @@ pub enum NetError {
     },
     /// The daemon answered with a frame the request does not admit.
     Protocol(String),
-    /// The daemon is not the object's custodian and pointed at its
-    /// placement-ring home instead. Following the hop (see [`Router`])
-    /// resolves the decision at `home`; at most one hop is ever needed
-    /// because every member computes the same ring.
-    Redirected {
-        /// The object whose decision was redirected.
-        object: String,
-        /// The home custodian's coalition server name.
-        home: String,
-        /// The home's dial address, when the redirecting daemon knows it.
-        addr: Option<String>,
-    },
 }
 
 impl fmt::Display for NetError {
@@ -73,9 +68,6 @@ impl fmt::Display for NetError {
             NetError::Wire(e) => write!(f, "wire error: {e}"),
             NetError::Daemon { code, msg } => write!(f, "daemon error {code}: {msg}"),
             NetError::Protocol(msg) => write!(f, "protocol error: {msg}"),
-            NetError::Redirected { object, home, .. } => {
-                write!(f, "object {object} is homed on {home}")
-            }
         }
     }
 }
@@ -95,8 +87,8 @@ impl From<WireError> for NetError {
 }
 
 /// A connected client. Not thread-safe by design — one request stream
-/// per connection; v1 replies arrive strictly in order, v2 replies are
-/// correlated by request id.
+/// per connection; control replies arrive strictly in order, decide
+/// replies are correlated by request id.
 pub struct Client {
     stream: TcpStream,
     vocab: HashMap<String, u32>,
@@ -104,43 +96,25 @@ pub struct Client {
     /// Incremental reassembly of inbound frames: one big read can carry
     /// a whole window of pipelined replies.
     asm: FrameAssembler,
-    /// The negotiated protocol revision (1 or 2, from the handshake).
-    proto: u8,
-    /// Coalesced, not-yet-written pipelined request frames.
-    out2: Vec<u8>,
-    /// In-flight v2 request ids, oldest first.
-    pend2: Vec<u64>,
-    /// Correlated replies received but not yet claimed by the pipeline.
-    done2: Vec<(u64, Verdict)>,
+    /// Coalesced, not-yet-written decide frames.
+    out: Vec<u8>,
+    /// In-flight decide request ids, oldest first.
+    pending: Vec<u64>,
+    /// Correlated replies received but not yet claimed: the verdict, or
+    /// the daemon's `Err2` for that one request.
+    done: Vec<(u64, Result<Verdict, NetError>)>,
     next_id: u64,
 }
 
 impl Client {
-    /// Connect, handshake, and learn the daemon's server name. The
-    /// timeout (if any) applies to connect and to every subsequent read
-    /// and write. Offers protocol 2; a daemon that refuses it is
-    /// re-greeted at protocol 1, so pipelining degrades instead of
-    /// failing the connection.
+    /// Connect, handshake at [`PROTOCOL_VERSION`], and learn the
+    /// daemon's server name. The timeout (if any) applies to connect and
+    /// to every subsequent read and write.
     pub fn connect(
         addr: SocketAddr,
         name: &str,
         io_timeout: Option<Duration>,
     ) -> Result<Client, NetError> {
-        let mut c = Client::dial(addr, io_timeout)?;
-        match c.hello(name, PROTOCOL_VERSION_2) {
-            Ok(()) => Ok(c),
-            Err(NetError::Daemon { .. }) => {
-                // An old daemon rejects the v2 greeting after reading it
-                // cleanly, so the same connection can be re-greeted.
-                let mut c = Client::dial(addr, io_timeout)?;
-                c.hello(name, PROTOCOL_VERSION)?;
-                Ok(c)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn dial(addr: SocketAddr, io_timeout: Option<Duration>) -> Result<Client, NetError> {
         let stream = match io_timeout {
             Some(t) => TcpStream::connect_timeout(&addr, t)?,
             None => TcpStream::connect(addr)?,
@@ -148,32 +122,23 @@ impl Client {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(io_timeout)?;
         stream.set_write_timeout(io_timeout)?;
-        Ok(Client {
+        let mut c = Client {
             stream,
             vocab: HashMap::new(),
             server: String::new(),
             asm: FrameAssembler::new(),
-            proto: PROTOCOL_VERSION,
-            out2: Vec::new(),
-            pend2: Vec::new(),
-            done2: Vec::new(),
+            out: Vec::new(),
+            pending: Vec::new(),
+            done: Vec::new(),
             next_id: 0,
-        })
-    }
-
-    fn hello(&mut self, name: &str, proto: u8) -> Result<(), NetError> {
-        match self.call(&Frame::Hello {
-            proto: proto as u16,
+        };
+        match c.call(&Frame::Hello {
+            proto: PROTOCOL_VERSION as u16,
             peer: name.to_string(),
         })? {
-            Frame::HelloAck { proto, server } => {
-                self.server = server;
-                self.proto = if proto >= PROTOCOL_VERSION_2 as u16 {
-                    PROTOCOL_VERSION_2
-                } else {
-                    PROTOCOL_VERSION
-                };
-                Ok(())
+            Frame::HelloAck { server, .. } => {
+                c.server = server;
+                Ok(c)
             }
             other => Err(unexpected("HelloAck", &other)),
         }
@@ -184,35 +149,39 @@ impl Client {
         &self.server
     }
 
-    /// The negotiated protocol revision: 2 when the daemon supports
-    /// pipelining, else 1.
-    pub fn proto(&self) -> u8 {
-        self.proto
-    }
-
-    /// Number of pipelined requests currently in flight.
+    /// Number of decide requests currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.pend2.len()
+        self.pending.len()
     }
 
-    /// Write out any coalesced pipelined request frames.
+    /// Write out any coalesced decide frames.
     fn flush_out(&mut self) -> Result<(), NetError> {
-        if self.out2.is_empty() {
+        if self.out.is_empty() {
             return Ok(());
         }
-        self.stream.write_all(&self.out2)?;
-        self.out2.clear();
+        self.stream.write_all(&self.out)?;
+        self.out.clear();
         stacl_obs::count(Counter::NetWriteFlush);
         Ok(())
     }
 
+    /// Queue one `Decide2` frame (written at the next flush) and return
+    /// its request id.
+    fn queue_decide(&mut self, item: DecideItem) -> Result<u64, NetError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        wire::put_frame(&mut self.out, &Frame::Decide2 { id, item }.encode())?;
+        self.pending.push(id);
+        Ok(id)
+    }
+
     /// Record a correlated completion, enforcing id discipline: a reply
     /// must match exactly one in-flight request.
-    fn complete(&mut self, id: u64, v: Verdict) -> Result<(), NetError> {
-        match self.pend2.iter().position(|&p| p == id) {
+    fn complete(&mut self, id: u64, r: Result<Verdict, NetError>) -> Result<(), NetError> {
+        match self.pending.iter().position(|&p| p == id) {
             Some(at) => {
-                self.pend2.remove(at);
-                self.done2.push((id, v));
+                self.pending.remove(at);
+                self.done.push((id, r));
                 Ok(())
             }
             None => Err(NetError::Protocol(format!(
@@ -241,9 +210,9 @@ impl Client {
         }
     }
 
-    /// Read exactly one frame. A correlated v2 reply is absorbed into
-    /// the pipeline's completion set and reported as `None`; anything
-    /// else comes back as `Some(frame)`.
+    /// Read exactly one frame. A correlated `Verdict2`/`Err2` is absorbed
+    /// into the completion set against its own request id and reported
+    /// as `None`; anything else comes back as `Some(frame)`.
     fn absorb_one(&mut self) -> Result<Option<Frame>, NetError> {
         let payload = self.read_frame_buffered()?;
         match Frame::decode(&payload)? {
@@ -253,25 +222,23 @@ impl Client {
                 epoch,
                 reason,
             } => {
-                self.complete(
-                    id,
-                    Verdict {
-                        kind: kind_from_u8(kind)?,
-                        epoch,
-                        reason,
-                    },
-                )?;
+                let v = Verdict {
+                    kind: kind_from_u8(kind)?,
+                    epoch,
+                    reason,
+                };
+                self.complete(id, Ok(v))?;
                 Ok(None)
             }
-            Frame::Err2 { id, code, msg } => {
-                self.pend2.retain(|&p| p != id);
-                Err(NetError::Daemon { code, msg })
+            Frame::Err2 { id, code, msg } if self.pending.contains(&id) => {
+                self.complete(id, Err(NetError::Daemon { code, msg }))?;
+                Ok(None)
             }
             f => Ok(Some(f)),
         }
     }
 
-    /// Read until a non-correlated frame arrives (v2 completions are
+    /// Read until a non-correlated frame arrives (decide completions are
     /// absorbed along the way).
     fn read_reply(&mut self) -> Result<Frame, NetError> {
         loop {
@@ -281,10 +248,10 @@ impl Client {
         }
     }
 
-    /// Block until at least one in-flight pipelined request completes.
+    /// Block until at least one in-flight decide request completes.
     fn pump_one(&mut self) -> Result<(), NetError> {
-        let before = self.done2.len();
-        while self.done2.len() == before && !self.pend2.is_empty() {
+        let before = self.done.len();
+        while self.done.len() == before && !self.pending.is_empty() {
             if let Some(other) = self.absorb_one()? {
                 return Err(unexpected("Verdict2", &other));
             }
@@ -293,8 +260,8 @@ impl Client {
     }
 
     fn call(&mut self, frame: &Frame) -> Result<Frame, NetError> {
-        // Queued pipelined requests must precede this frame on the wire
-        // so the daemon's interning state stays positional.
+        // Queued decide requests must precede this frame on the wire so
+        // the daemon's interning state stays positional.
         self.flush_out()?;
         wire::write_frame(&mut self.stream, &frame.encode())?;
         match self.read_reply()? {
@@ -412,8 +379,11 @@ impl Client {
         })
     }
 
-    /// Ask for one decision. `remaining` is the object's declared future
-    /// accesses, including the attempted one.
+    /// Ask for one decision: a single `Decide2` round trip (a window of
+    /// 1). `remaining` is the object's declared future accesses,
+    /// including the attempted one. Returns only this request's result —
+    /// completions of other requests on the connection stay unclaimed —
+    /// and an `Err2` for it comes back as [`NetError::Daemon`].
     pub fn decide(
         &mut self,
         object: &str,
@@ -422,20 +392,24 @@ impl Client {
         time: f64,
     ) -> Result<Verdict, NetError> {
         let item = self.item(object, access, remaining, time)?;
-        match self.call(&Frame::Decide(item))? {
-            Frame::Verdict {
-                kind,
-                epoch,
-                reason,
-            } => Ok(Verdict {
-                kind: kind_from_u8(kind)?,
-                epoch,
-                reason,
-            }),
-            Frame::Redirect { object, home, addr } => {
-                Err(NetError::Redirected { object, home, addr })
+        let id = self.queue_decide(item)?;
+        let got = self.await_id(id);
+        // Whatever happened, this request must never resolve into a
+        // later call.
+        self.pending.retain(|&p| p != id);
+        got
+    }
+
+    /// Flush, then read until request `id` completes, and claim it.
+    fn await_id(&mut self, id: u64) -> Result<Verdict, NetError> {
+        self.flush_out()?;
+        loop {
+            if let Some(at) = self.done.iter().position(|(d, _)| *d == id) {
+                return self.done.remove(at).1;
             }
-            other => Err(unexpected("Verdict", &other)),
+            if let Some(other) = self.absorb_one()? {
+                return Err(unexpected("Verdict2", &other));
+            }
         }
     }
 
@@ -463,17 +437,12 @@ impl Client {
     ) -> Verdict {
         match self.decide(object, access, remaining, time) {
             Ok(v) => v,
-            Err(e) => {
-                stacl_obs::count(Counter::NetFailsafeDenial);
-                Verdict::denied(
-                    DecisionKind::DeniedCoordination,
-                    format!("coalition member unreachable: {e}"),
-                )
-            }
+            Err(e) => failsafe_denial(format!("coalition member unreachable: {e}")),
         }
     }
 
-    /// Ask for a batch of decisions, answered in order.
+    /// Ask for a batch of decisions in one `DecideBatch2` frame, answered
+    /// in order.
     pub fn decide_batch(
         &mut self,
         requests: &[(&str, &Access, &[Access], f64)],
@@ -483,22 +452,27 @@ impl Client {
             .map(|(o, a, r, t)| self.item(o, a, r, *t))
             .collect::<Result<Vec<_>, _>>()?;
         let n = items.len();
-        match self.call(&Frame::DecideBatch { items })? {
-            Frame::VerdictBatch { verdicts } if verdicts.len() == n => verdicts
-                .into_iter()
-                .map(|(kind, epoch, reason)| {
-                    Ok(Verdict {
-                        kind: kind_from_u8(kind)?,
-                        epoch,
-                        reason,
+        let id = self.next_id;
+        self.next_id += 1;
+        match self.call(&Frame::DecideBatch2 { id, items })? {
+            Frame::VerdictBatch2 { id: got, verdicts } if got == id && verdicts.len() == n => {
+                verdicts
+                    .into_iter()
+                    .map(|(kind, epoch, reason)| {
+                        Ok(Verdict {
+                            kind: kind_from_u8(kind)?,
+                            epoch,
+                            reason,
+                        })
                     })
-                })
-                .collect(),
-            Frame::VerdictBatch { verdicts } => Err(NetError::Protocol(format!(
-                "batch of {n} answered with {} verdicts",
+                    .collect()
+            }
+            Frame::VerdictBatch2 { id: got, verdicts } => Err(NetError::Protocol(format!(
+                "batch {id} of {n} answered as batch {got} with {} verdicts",
                 verdicts.len()
             ))),
-            other => Err(unexpected("VerdictBatch", &other)),
+            Frame::Err2 { id: got, code, msg } if got == id => Err(NetError::Daemon { code, msg }),
+            other => Err(unexpected("VerdictBatch2", &other)),
         }
     }
 
@@ -548,15 +522,8 @@ impl Client {
     }
 
     /// Open a pipelined view over this connection with a window of up to
-    /// `window` in-flight requests. Requires the negotiated protocol to
-    /// be v2; a v1-only daemon makes this a protocol error (callers that
-    /// can degrade should fall back to [`Client::decide`] loops).
+    /// `window` in-flight requests.
     pub fn pipeline(&mut self, window: usize) -> Result<Pipeline<'_>, NetError> {
-        if self.proto < PROTOCOL_VERSION_2 {
-            return Err(NetError::Protocol(
-                "daemon negotiated protocol 1; pipelining needs v2".to_string(),
-            ));
-        }
         Ok(Pipeline {
             window: window.max(1),
             client: self,
@@ -566,20 +533,16 @@ impl Client {
     /// Drive `requests` through a pipelined window, resolving **every**
     /// unresolved request to a counted fail-safe `DeniedCoordination` on
     /// any transport or protocol failure — a dying member mid-window
-    /// never hangs the caller and never loses a request. Verdicts come
-    /// back in request order. Falls back to sequential
-    /// [`Client::decide_failsafe`] calls when the daemon only speaks v1.
+    /// never hangs the caller and never loses a request. A request the
+    /// daemon refuses with an `Err2` fails safe alone. Verdicts come back
+    /// in request order; completions of requests this call did not issue
+    /// stay unclaimed, and this call's unresolved requests are forgotten,
+    /// so nothing crosses into another call.
     pub fn decide_stream_failsafe(
         &mut self,
         requests: &[(&str, &Access, &[Access], f64)],
         window: usize,
     ) -> Vec<Verdict> {
-        if self.proto < PROTOCOL_VERSION_2 {
-            return requests
-                .iter()
-                .map(|(o, a, r, t)| self.decide_failsafe(o, a, r, *t))
-                .collect();
-        }
         let mut slot_of: HashMap<u64, usize> = HashMap::new();
         let mut out: Vec<Option<Verdict>> = Vec::new();
         out.resize_with(requests.len(), || None);
@@ -588,36 +551,45 @@ impl Client {
             for (i, (object, access, remaining, time)) in requests.iter().enumerate() {
                 let id = p.submit(object, access, remaining, *time)?;
                 slot_of.insert(id, i);
-                for (id, v) in p.take() {
-                    out[slot_of[&id]] = Some(v);
-                }
+                p.claim(&slot_of, &mut out);
             }
-            for (id, v) in p.finish()? {
-                out[slot_of[&id]] = Some(v);
+            p.client.flush_out()?;
+            while p.client.pending.iter().any(|id| slot_of.contains_key(id)) {
+                p.client.pump_one()?;
             }
+            p.claim(&slot_of, &mut out);
             Ok(())
         })();
+        self.pending.retain(|id| !slot_of.contains_key(id));
         let failure = drive.err();
         out.into_iter()
-            .map(|v| match v {
-                Some(v) => v,
-                None => {
-                    stacl_obs::count(Counter::NetFailsafeDenial);
-                    Verdict::denied(
-                        DecisionKind::DeniedCoordination,
-                        match &failure {
-                            Some(e) => format!("coalition member unreachable: {e}"),
-                            None => "coalition member unreachable".to_string(),
-                        },
-                    )
-                }
+            .map(|v| {
+                v.unwrap_or_else(|| {
+                    failsafe_denial(match &failure {
+                        Some(e) => format!("coalition member unreachable: {e}"),
+                        None => "coalition member unreachable".to_string(),
+                    })
+                })
             })
             .collect()
     }
 }
 
-/// A pipelined view over a [`Client`] connection (protocol v2): up to
-/// `window` request-id-correlated decisions in flight, coalesced writes,
+/// The counted fail-safe verdict that stands in for a decision the
+/// coalition member could not give.
+fn failsafe_denial(reason: String) -> Verdict {
+    stacl_obs::count(Counter::NetFailsafeDenial);
+    Verdict::denied(DecisionKind::DeniedCoordination, reason)
+}
+
+/// A completion as a pipeline hands it out: an `Err2` becomes the
+/// counted fail-safe denial for its one request.
+fn resolve(r: Result<Verdict, NetError>) -> Verdict {
+    r.unwrap_or_else(|e| failsafe_denial(format!("coalition member refused the request: {e}")))
+}
+
+/// A pipelined view over a [`Client`] connection: up to `window`
+/// request-id-correlated decisions in flight, coalesced writes,
 /// backpressure when the window fills. Dropping the view keeps any
 /// unclaimed completions on the client for the next pipelined use.
 pub struct Pipeline<'a> {
@@ -633,7 +605,7 @@ impl Pipeline<'_> {
 
     /// Requests submitted but not yet answered.
     pub fn in_flight(&self) -> usize {
-        self.client.pend2.len()
+        self.client.pending.len()
     }
 
     /// Queue one decision, returning its request id. When the window is
@@ -646,30 +618,45 @@ impl Pipeline<'_> {
         remaining: &[Access],
         time: f64,
     ) -> Result<u64, NetError> {
-        while self.client.pend2.len() >= self.window {
+        while self.client.pending.len() >= self.window {
             self.client.flush_out()?;
             self.client.pump_one()?;
         }
-        // Vocabulary sync may issue synchronous v1 calls; `call` flushes
-        // the queued request bytes first, so wire order stays positional.
+        // Vocabulary sync may issue synchronous control calls; `call`
+        // flushes the queued request bytes first, so wire order stays
+        // positional.
         let item = self.client.item(object, access, remaining, time)?;
-        let id = self.client.next_id;
-        self.client.next_id += 1;
-        wire::put_frame(&mut self.client.out2, &Frame::Decide2 { id, item }.encode())?;
-        self.client.pend2.push(id);
-        Ok(id)
+        self.client.queue_decide(item)
     }
 
-    /// Claim completions that have already arrived (never blocks).
+    /// Claim completions that have already arrived (never blocks). A
+    /// request the daemon refused with an `Err2` comes back as a counted
+    /// fail-safe `DeniedCoordination`.
     pub fn take(&mut self) -> Vec<(u64, Verdict)> {
-        std::mem::take(&mut self.client.done2)
+        self.client
+            .done
+            .drain(..)
+            .map(|(id, r)| (id, resolve(r)))
+            .collect()
+    }
+
+    /// Claim the arrived completions of the requests in `slot_of` into
+    /// their slots of `out`, leaving every other completion unclaimed.
+    fn claim(&mut self, slot_of: &HashMap<u64, usize>, out: &mut [Option<Verdict>]) {
+        for (id, r) in self
+            .client
+            .done
+            .extract_if(.., |(id, _)| slot_of.contains_key(id))
+        {
+            out[slot_of[&id]] = Some(resolve(r));
+        }
     }
 
     /// Flush queued requests and block until at least one completion is
     /// available (or the window is empty), then claim them.
     pub fn recv_some(&mut self) -> Result<Vec<(u64, Verdict)>, NetError> {
         self.client.flush_out()?;
-        if self.client.done2.is_empty() {
+        if self.client.done.is_empty() {
             self.client.pump_one()?;
         }
         Ok(self.take())
@@ -678,7 +665,7 @@ impl Pipeline<'_> {
     /// Flush and drain the whole window, claiming every completion.
     pub fn finish(mut self) -> Result<Vec<(u64, Verdict)>, NetError> {
         self.client.flush_out()?;
-        while !self.client.pend2.is_empty() {
+        while !self.client.pending.is_empty() {
             self.client.pump_one()?;
         }
         Ok(self.take())
@@ -688,11 +675,11 @@ impl Pipeline<'_> {
 /// A coalition-aware client pool that follows placement redirects.
 ///
 /// Holds one lazily-dialed [`Client`] per member. A decision sent to the
-/// wrong member comes back as a [`Frame::Redirect`] naming the object's
-/// ring home; the router re-issues the decision there. Because every
-/// member computes the same rendezvous ring, **one hop always
-/// suffices** — a second redirect is reported as a protocol error rather
-/// than followed.
+/// wrong member is refused with `ERR_NOT_CUSTODIAN`; the router asks that
+/// same member to [`Client::locate`] the object's ring home and
+/// re-issues the decision there. Because every member computes the same
+/// rendezvous ring, **one hop always suffices** — a second refusal is
+/// reported as a protocol error rather than followed.
 pub struct Router {
     name: String,
     io_timeout: Option<Duration>,
@@ -742,22 +729,26 @@ impl Router {
         time: f64,
     ) -> Result<(Verdict, String), NetError> {
         match self.client(member)?.decide(object, access, remaining, time) {
-            Ok(v) => Ok((v, member.to_string())),
-            Err(NetError::Redirected { home, addr, .. }) => {
-                // Learn the address the redirecting daemon told us, then
-                // take the single hop to the home custodian.
-                if let Some(a) = addr.and_then(|a| a.parse::<SocketAddr>().ok()) {
-                    self.addrs.entry(home.clone()).or_insert(a);
-                }
-                match self.client(&home)?.decide(object, access, remaining, time) {
-                    Ok(v) => Ok((v, home)),
-                    Err(NetError::Redirected { home: again, .. }) => Err(NetError::Protocol(
-                        format!("{object} redirected twice: {member} -> {home} -> {again}"),
-                    )),
-                    Err(e) => Err(e),
-                }
-            }
-            Err(e) => Err(e),
+            Err(NetError::Daemon {
+                code: ERR_NOT_CUSTODIAN,
+                ..
+            }) => {}
+            other => return other.map(|v| (v, member.to_string())),
+        }
+        // Not the custodian: learn the home (and its address, when the
+        // refusing member knows it), then take the single hop.
+        let (home, addr) = self.client(member)?.locate(object)?;
+        if let Some(a) = addr.and_then(|a| a.parse::<SocketAddr>().ok()) {
+            self.addrs.entry(home.clone()).or_insert(a);
+        }
+        match self.client(&home)?.decide(object, access, remaining, time) {
+            Err(NetError::Daemon {
+                code: ERR_NOT_CUSTODIAN,
+                msg,
+            }) => Err(NetError::Protocol(format!(
+                "{object} redirected twice: {member} -> {home} -> {msg}"
+            ))),
+            other => other.map(|v| (v, home)),
         }
     }
 }

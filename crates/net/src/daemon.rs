@@ -6,21 +6,28 @@
 //! nonblocking sockets) multiplexes every connection: per-connection
 //! read reassembly via [`FrameAssembler`], per-connection coalesced
 //! write buffers flushed in one syscall, and many in-flight correlated
-//! v2 frames per connection. Each connection keeps its own positional
+//! decide frames per connection. Each connection keeps its own positional
 //! vocabulary (names interned by [`Frame::Vocab`] announcements) and its
 //! own [`AccessTable`] (verdicts are table-independent, so
 //! per-connection interning is sound).
 //!
 //! ## Reply ordering
 //!
-//! Replies queue per connection as **slots**. v1 replies flush strictly
-//! in request order — a v1 client is synchronous, so this preserves its
-//! call/reply pairing exactly. The only slow operation (the custody
+//! Replies queue per connection as **slots**, of two kinds. Replies to
+//! the synchronous control frames (`Hello`, `Vocab`, `Arrive`,
+//! `PolicyPrepare`, …) are *ordered*: they flush strictly in request
+//! order, which is how their caller pairs call and reply. Replies to
+//! `Decide2`/`DecideBatch2` are *correlated*: they echo the request id,
+//! so they need no position. The only slow operation (the custody
 //! handoff pull, which dials a peer with retries and backoff) runs on a
-//! helper thread and leaves a *pending* slot in the queue; later v1
-//! replies wait behind it, while v2 replies — correlated by request id,
-//! not position — may overtake it. The event loop itself never blocks on
-//! a peer.
+//! helper thread and leaves a *pending* slot in the queue; later ordered
+//! replies wait behind it, while correlated replies overtake it. The
+//! event loop itself never blocks on a peer.
+//!
+//! A `Decide2` for an object this member does not hold, and which the
+//! placement ring homes on another member, is answered
+//! `Err2 { ERR_NOT_CUSTODIAN }` (counted `placement.redirect`); the
+//! caller locates the home and takes one hop.
 //!
 //! ## Custody and the handoff pull
 //!
@@ -72,7 +79,7 @@ use crate::frames::{
     ERR_NOT_CUSTODIAN, ERR_STATE,
 };
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
-use crate::wire::{self, FrameAssembler, PROTOCOL_VERSION, PROTOCOL_VERSION_2};
+use crate::wire::{self, FrameAssembler, PROTOCOL_VERSION};
 
 /// Daemon configuration. `listen` defaults to an ephemeral loopback port
 /// so tests and the sim driver can spawn coalitions without port math.
@@ -326,12 +333,12 @@ fn wake(shared: &Shared) {
     let _ = (&shared.wake_tx).write_all(&[1]);
 }
 
-/// One queued reply. v1 slots flush strictly in order; a pending slot
-/// (helper-thread handoff pull in flight) blocks later v1 slots but not
-/// v2 slots, whose request-id correlation frees them from positional
-/// ordering.
+/// One queued reply. Ordered slots flush strictly in order; a pending
+/// slot (helper-thread handoff pull in flight) blocks later ordered
+/// slots but not correlated ones, whose request id frees them from
+/// positional ordering.
 enum Slot {
-    Ready { v2: bool, payload: Vec<u8> },
+    Ready { correlated: bool, payload: Vec<u8> },
     Pending { token: u64 },
 }
 
@@ -419,7 +426,7 @@ fn event_loop(shared: &Arc<Shared>, listener: TcpListener, wake_rx: TcpStream) {
                 for slot in conn.slots.iter_mut() {
                     if matches!(slot, Slot::Pending { token } if *token == c.token) {
                         *slot = Slot::Ready {
-                            v2: false,
+                            correlated: false,
                             payload: c.reply.encode(),
                         };
                         break;
@@ -597,7 +604,7 @@ fn process_frames(shared: &Arc<Shared>, ctx: &mpsc::Sender<Completion>, conn: &m
         match conn.asm.next_frame() {
             Ok(Some(payload)) => match Frame::decode(&payload) {
                 Ok(frame) => shutdown = handle_frame(shared, ctx, conn, frame),
-                Err(e) => push_v1(conn, err_frame(ERR_BAD_REQUEST, e.to_string())),
+                Err(e) => push_ordered(conn, err_frame(ERR_BAD_REQUEST, e.to_string())),
             },
             Ok(None) => break,
             Err(_) => {
@@ -611,15 +618,15 @@ fn process_frames(shared: &Arc<Shared>, ctx: &mpsc::Sender<Completion>, conn: &m
 
 /// Move eligible reply slots into the coalesced out-buffer, then write.
 fn flush_conn(conn: &mut Conn) {
-    let mut blocked_v1 = false;
+    let mut blocked = false;
     let mut i = 0;
     while i < conn.slots.len() {
         let eligible = match &conn.slots[i] {
             Slot::Pending { .. } => {
-                blocked_v1 = true;
+                blocked = true;
                 false
             }
-            Slot::Ready { v2, .. } => *v2 || !blocked_v1,
+            Slot::Ready { correlated, .. } => *correlated || !blocked,
         };
         if !eligible {
             i += 1;
@@ -667,16 +674,16 @@ fn write_out(conn: &mut Conn) {
     }
 }
 
-fn push_v1(conn: &mut Conn, frame: Frame) {
+fn push_ordered(conn: &mut Conn, frame: Frame) {
     conn.slots.push_back(Slot::Ready {
-        v2: false,
+        correlated: false,
         payload: frame.encode(),
     });
 }
 
-fn push_v2(conn: &mut Conn, frame: Frame) {
+fn push_correlated(conn: &mut Conn, frame: Frame) {
     conn.slots.push_back(Slot::Ready {
-        v2: true,
+        correlated: true,
         payload: frame.encode(),
     });
 }
@@ -771,7 +778,7 @@ fn desync_verdict(shared: &Shared) -> Verdict {
 }
 
 /// Decide one owned request against the guard (or fail safe under epoch
-/// desync). Shared by the v1 `Decide` and v2 `Decide2` paths.
+/// desync).
 fn decide_one(shared: &Shared, req: &OwnedRequest, table: &mut AccessTable) -> Verdict {
     if shared.epoch_desync.load(Ordering::SeqCst) {
         return desync_verdict(shared);
@@ -785,8 +792,7 @@ fn decide_one(shared: &Shared, req: &OwnedRequest, table: &mut AccessTable) -> V
     shared.guard.decide(&greq, &shared.proofs, table)
 }
 
-/// Decide an owned batch (or fail safe under epoch desync). Shared by
-/// the v1 and v2 batch paths.
+/// Decide an owned batch (or fail safe under epoch desync).
 fn decide_many(shared: &Shared, owned: &[OwnedRequest]) -> Vec<Verdict> {
     if shared.epoch_desync.load(Ordering::SeqCst) {
         return owned.iter().map(|_| desync_verdict(shared)).collect();
@@ -813,7 +819,7 @@ fn handle_frame(
 ) -> bool {
     match frame {
         Frame::Hello { proto, peer: _ } => {
-            let reply = if proto == PROTOCOL_VERSION as u16 || proto == PROTOCOL_VERSION_2 as u16 {
+            let reply = if proto == PROTOCOL_VERSION as u16 {
                 Frame::HelloAck {
                     proto,
                     server: shared.cfg.name.clone(),
@@ -821,61 +827,27 @@ fn handle_frame(
             } else {
                 err_frame(ERR_BAD_REQUEST, format!("unsupported protocol {proto}"))
             };
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
         Frame::Vocab { names } => {
             conn.vocab.extend(names);
-            push_v1(conn, Frame::Ok);
+            push_ordered(conn, Frame::Ok);
         }
         Frame::Enroll { object, roles } => {
             let reply = match enroll(shared, &conn.vocab, object, &roles) {
                 Ok(()) => Frame::Ok,
                 Err(e) => e.into_frame(),
             };
-            push_v1(conn, reply);
-        }
-        Frame::Decide(it) => {
-            let reply = match own_request(&conn.vocab, &it) {
-                Ok(req) => match redirect_for(shared, &req.object) {
-                    // Wrong daemon, and the ring knows who is right:
-                    // point the client at the home custodian instead of
-                    // burning a fail-safe denial. One extra hop resolves
-                    // the decision. (The pipelined v2 path keeps its
-                    // counted `DeniedCoordination` verdicts — chaos
-                    // accounting depends on them.)
-                    Some(redirect) => redirect,
-                    None => {
-                        let (kind, epoch, reason) =
-                            verdict_frame(&decide_one(shared, &req, &mut conn.table));
-                        Frame::Verdict {
-                            kind,
-                            epoch,
-                            reason,
-                        }
-                    }
-                },
-                Err(e) => e.into_frame(),
-            };
-            push_v1(conn, reply);
-        }
-        Frame::DecideBatch { items } => {
-            let reply = match items
-                .iter()
-                .map(|it| own_request(&conn.vocab, it))
-                .collect::<Result<Vec<_>, Reject>>()
-            {
-                Ok(owned) => Frame::VerdictBatch {
-                    verdicts: decide_many(shared, &owned)
-                        .iter()
-                        .map(verdict_frame)
-                        .collect(),
-                },
-                Err(e) => e.into_frame(),
-            };
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
         Frame::Decide2 { id, item } => {
-            let reply = match own_request(&conn.vocab, &item) {
+            // Wrong daemon, and the ring knows who is right: refuse
+            // instead of burning a fail-safe denial, so the caller can
+            // locate the home and resolve in one extra hop.
+            let reply = match own_request(&conn.vocab, &item).and_then(|req| {
+                misrouted(shared, &req.object)?;
+                Ok(req)
+            }) {
                 Ok(req) => {
                     let (kind, epoch, reason) =
                         verdict_frame(&decide_one(shared, &req, &mut conn.table));
@@ -892,7 +864,7 @@ fn handle_frame(
                     msg: e.msg,
                 },
             };
-            push_v2(conn, reply);
+            push_correlated(conn, reply);
         }
         Frame::DecideBatch2 { id, items } => {
             let reply = match items
@@ -913,7 +885,7 @@ fn handle_frame(
                     msg: e.msg,
                 },
             };
-            push_v2(conn, reply);
+            push_correlated(conn, reply);
         }
         Frame::IssueProof {
             object,
@@ -931,7 +903,7 @@ fn handle_frame(
                 Ok(()) => Frame::Ok,
                 Err(e) => e.into_frame(),
             };
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
         Frame::Arrive { object, time, from } => {
             match (|| {
@@ -940,14 +912,14 @@ fn handle_frame(
                 Ok::<(String, TimePoint), Reject>((object, tp))
             })() {
                 Ok((object, tp)) => arrive(shared, ctx, conn, object, tp, from.as_deref()),
-                Err(e) => push_v1(conn, e.into_frame()),
+                Err(e) => push_ordered(conn, e.into_frame()),
             }
         }
         Frame::HandoffRequest { object } => {
             let reply = handoff_out(shared, &object);
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
-        Frame::MetricsRequest => push_v1(
+        Frame::MetricsRequest => push_ordered(
             conn,
             Frame::MetricsJson {
                 json: stacl_obs::snapshot().to_json(),
@@ -959,11 +931,11 @@ fn handle_frame(
             classes,
         } => {
             let reply = policy_prepare(shared, &mut conn.table, epoch, &policy, &classes);
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
         Frame::PolicyActivate { epoch } => {
             let reply = policy_activate(shared, epoch);
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
         Frame::Locate { object } => {
             // Any member answers a locate purely from the ring: O(N)
@@ -979,7 +951,7 @@ fn handle_frame(
                 }
                 None => err_frame(ERR_STATE, "no placement ring installed"),
             };
-            push_v1(conn, reply);
+            push_ordered(conn, reply);
         }
         Frame::Rebalance { object, from } => {
             // A peer whose ring home for `object` moved here is draining
@@ -994,11 +966,11 @@ fn handle_frame(
             spawn_pull(shared, ctx, conn.serial, token, from, object, None);
         }
         Frame::Shutdown => {
-            push_v1(conn, Frame::Ok);
+            push_ordered(conn, Frame::Ok);
             return true;
         }
         // Reply frames arriving as requests are protocol violations.
-        other => push_v1(
+        other => push_ordered(
             conn,
             err_frame(ERR_BAD_REQUEST, format!("frame {other:?} is not a request")),
         ),
@@ -1128,38 +1100,34 @@ fn arrive(
                 // ring the claim must land on the object's ring home, or
                 // two members could both believe themselves custodian.
                 if let Err(e) = shared.guard.take_custody(&object) {
-                    push_v1(conn, err_frame(ERR_NOT_CUSTODIAN, e));
+                    push_ordered(conn, err_frame(ERR_NOT_CUSTODIAN, e));
                     return;
                 }
             }
         }
     }
     shared.guard.note_arrival(&object, time);
-    push_v1(conn, Frame::Ok);
+    push_ordered(conn, Frame::Ok);
 }
 
-/// The redirect a v1 `Decide` for `object` should get instead of a
-/// fail-safe denial: present only when custody is enforced, the object is
-/// `Remote` here, and the placement ring names a different member as its
-/// home. Counted `placement.redirect`.
-fn redirect_for(shared: &Shared, object: &str) -> Option<Frame> {
-    if !shared.guard.custody_enforced() {
-        return None;
+/// Refuse a decide for `object` with `ERR_NOT_CUSTODIAN` instead of a
+/// fail-safe denial when custody is enforced, the object is `Remote`
+/// here, and the placement ring names a different member as its home.
+/// Counted `placement.redirect`.
+fn misrouted(shared: &Shared, object: &str) -> Result<(), Reject> {
+    if !shared.guard.custody_enforced() || shared.guard.custody_of(object) != Custody::Remote {
+        return Ok(());
     }
-    if shared.guard.custody_of(object) != Custody::Remote {
-        return None;
+    match shared.guard.placement_home(object) {
+        Some(home) if home != shared.cfg.name => {
+            stacl_obs::count(Counter::PlacementRedirect);
+            Err(Reject {
+                code: ERR_NOT_CUSTODIAN,
+                msg: format!("{object} is homed on {home}"),
+            })
+        }
+        _ => Ok(()),
     }
-    let home = shared.guard.placement_home(object)?;
-    if home == shared.cfg.name {
-        return None;
-    }
-    stacl_obs::count(Counter::PlacementRedirect);
-    let addr = shared.peers.read().get(&home).map(|a| a.to_string());
-    Some(Frame::Redirect {
-        object: object.to_string(),
-        home,
-        addr,
-    })
 }
 
 /// Fold the compactable prefix of `object`'s proof history into its

@@ -2,7 +2,7 @@
 //!
 //! Every payload is `[version u8][tag u8][body]`. Request tags live in
 //! `0x01..=0x7F`, reply tags in `0x80..=0xFF`, so a trace is readable at a
-//! glance. Steady-state frames (`Decide`, `DecideBatch`, `IssueProof`,
+//! glance. Steady-state frames (`Decide2`, `DecideBatch2`, `IssueProof`,
 //! `Enroll`, `Arrive`) carry only interned `u32` ids for names: a client
 //! announces names once via `Vocab` and both ends number them positionally
 //! (id = index of first announcement), per connection.
@@ -18,7 +18,7 @@ use stacl_temporal::{BaseTimeScheme, TimePoint, TimelineParts};
 
 use crate::wire::{
     put_bool, put_f64, put_opt_str, put_str, put_u32, put_u64, put_u8, Dec, WireError,
-    PROTOCOL_VERSION, PROTOCOL_VERSION_2,
+    PROTOCOL_VERSION,
 };
 
 /// An access reference in interned form: `op resource @ server`.
@@ -32,7 +32,8 @@ pub struct WireAccess {
     pub server: u32,
 }
 
-/// One entry of a batched decide.
+/// One decide request: the body of `Decide2` and of each `DecideBatch2`
+/// entry.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DecideItem {
     /// Vocabulary id of the requesting object.
@@ -127,13 +128,6 @@ pub enum Frame {
         /// Vocabulary ids of the activated roles.
         roles: Vec<u32>,
     },
-    /// Decide one access. Replied with `Verdict`.
-    Decide(DecideItem),
-    /// Decide a batch. Replied with `VerdictBatch` of equal length.
-    DecideBatch {
-        /// The requests, answered in order.
-        items: Vec<DecideItem>,
-    },
     /// Record an execution proof (replicated after a grant anywhere in
     /// the coalition). Replied with `Ok`.
     IssueProof {
@@ -207,18 +201,18 @@ pub enum Frame {
         /// The epoch to flip to.
         epoch: u64,
     },
-    /// Protocol v2: decide one access, correlated. Replied with a
-    /// `Verdict2` (or `Err2`) echoing `id`; replies to distinct ids may
-    /// arrive in any order, so many `Decide2` frames can be in flight on
-    /// one connection (the pipelined mode).
+    /// Decide one access, correlated. Replied with a `Verdict2` (or
+    /// `Err2`) echoing `id`; replies to distinct ids may arrive in any
+    /// order, so many `Decide2` frames can be in flight on one
+    /// connection. A sequential decide is one `Decide2` in a window of 1.
     Decide2 {
         /// Caller-chosen correlation id, echoed by the reply.
         id: u64,
         /// The request.
         item: DecideItem,
     },
-    /// Protocol v2: decide a batch, correlated. Replied with
-    /// `VerdictBatch2` (or `Err2`) echoing `id`.
+    /// Decide a batch, correlated. Replied with `VerdictBatch2` (or
+    /// `Err2`) echoing `id`.
     DecideBatch2 {
         /// Caller-chosen correlation id, echoed by the reply.
         id: u64,
@@ -242,21 +236,6 @@ pub enum Frame {
         /// Human-readable detail.
         msg: String,
     },
-    /// Reply to `Decide`.
-    Verdict {
-        /// Encoded [`DecisionKind`] (see [`kind_to_u8`]).
-        kind: u8,
-        /// The policy epoch the deciding daemon stamped on the verdict.
-        epoch: u64,
-        /// Denial detail, absent on grants.
-        reason: Option<String>,
-    },
-    /// Reply to `DecideBatch`, one `(kind, epoch, reason)` per item in
-    /// order.
-    VerdictBatch {
-        /// The verdicts.
-        verdicts: Vec<(u8, u64, Option<String>)>,
-    },
     /// Reply to `HandoffRequest`.
     HandoffState {
         /// The object's name (echoed).
@@ -275,9 +254,9 @@ pub enum Frame {
         /// The acknowledged epoch.
         epoch: u64,
     },
-    /// Reply to `Locate` — and to a `Decide` aimed at a member that the
-    /// placement ring says is not the object's home: the caller re-aims
-    /// at `home` and resolves in one extra hop instead of a broadcast.
+    /// Reply to `Locate`: the object's placement-ring home. A caller whose
+    /// `Decide2` was refused with `ERR_NOT_CUSTODIAN` locates the home
+    /// and resolves in one extra hop instead of a broadcast.
     Redirect {
         /// The object's name (echoed).
         object: String,
@@ -287,7 +266,7 @@ pub enum Frame {
         /// (`host:port`); callers with their own peer table may ignore it.
         addr: Option<String>,
     },
-    /// Protocol v2 reply to `Decide2`, correlated by `id`.
+    /// Reply to `Decide2`, correlated by `id`.
     Verdict2 {
         /// The request's correlation id, echoed.
         id: u64,
@@ -298,15 +277,16 @@ pub enum Frame {
         /// Denial detail, absent on grants.
         reason: Option<String>,
     },
-    /// Protocol v2 reply to `DecideBatch2`, correlated by `id`.
+    /// Reply to `DecideBatch2`, correlated by `id`.
     VerdictBatch2 {
         /// The request's correlation id, echoed.
         id: u64,
         /// One `(kind, epoch, reason)` per item, in request order.
         verdicts: Vec<(u8, u64, Option<String>)>,
     },
-    /// Protocol v2 failure reply, correlated by `id` — a malformed or
-    /// rejected correlated request must not desynchronize the pipeline.
+    /// Failure reply to one correlated request, echoing its `id` — a
+    /// malformed, rejected or misrouted request fails alone and never
+    /// desynchronizes the other requests in flight.
     Err2 {
         /// The request's correlation id, echoed.
         id: u64,
@@ -323,7 +303,8 @@ pub const ERR_BAD_REQUEST: u8 = 1;
 /// `Err` code: a custody handoff failed (peer unknown, unreachable after
 /// retries, or its payload malformed).
 pub const ERR_HANDOFF: u8 = 2;
-/// `Err` code: this member is not the object's resident custodian.
+/// `Err` code: this member is not the object's resident custodian (a
+/// misrouted `Decide2` gets it as an `Err2`; `Locate` names the home).
 pub const ERR_NOT_CUSTODIAN: u8 = 3;
 /// `Err` code: the request is not valid in the daemon's current state.
 pub const ERR_STATE: u8 = 4;
@@ -331,8 +312,6 @@ pub const ERR_STATE: u8 = 4;
 const TAG_HELLO: u8 = 0x01;
 const TAG_VOCAB: u8 = 0x02;
 const TAG_ENROLL: u8 = 0x03;
-const TAG_DECIDE: u8 = 0x04;
-const TAG_DECIDE_BATCH: u8 = 0x05;
 const TAG_ISSUE_PROOF: u8 = 0x06;
 const TAG_ARRIVE: u8 = 0x07;
 const TAG_HANDOFF_REQUEST: u8 = 0x08;
@@ -347,8 +326,6 @@ const TAG_DECIDE_BATCH2: u8 = 0x11;
 const TAG_HELLO_ACK: u8 = 0x81;
 const TAG_OK: u8 = 0x82;
 const TAG_ERR: u8 = 0x83;
-const TAG_VERDICT: u8 = 0x84;
-const TAG_VERDICT_BATCH: u8 = 0x85;
 const TAG_HANDOFF_STATE: u8 = 0x86;
 const TAG_METRICS_JSON: u8 = 0x87;
 const TAG_EPOCH_ACK: u8 = 0x88;
@@ -685,24 +662,10 @@ impl HandoffWire {
 }
 
 impl Frame {
-    /// The protocol revision this frame's encoding is stamped with: the
-    /// correlated (`*2`) frames are v2, everything else stays v1 so a v1
-    /// peer decodes every frame a well-behaved counterpart sends it.
-    pub fn wire_version(&self) -> u8 {
-        match self {
-            Frame::Decide2 { .. }
-            | Frame::DecideBatch2 { .. }
-            | Frame::Verdict2 { .. }
-            | Frame::VerdictBatch2 { .. }
-            | Frame::Err2 { .. } => PROTOCOL_VERSION_2,
-            _ => PROTOCOL_VERSION,
-        }
-    }
-
     /// Encode into a versioned payload ready for [`crate::wire::write_frame`].
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(16);
-        put_u8(&mut b, self.wire_version());
+        put_u8(&mut b, PROTOCOL_VERSION);
         match self {
             Frame::Hello { proto, peer } => {
                 put_u8(&mut b, TAG_HELLO);
@@ -722,17 +685,6 @@ impl Frame {
                 put_u32(&mut b, roles.len() as u32);
                 for r in roles {
                     put_u32(&mut b, *r);
-                }
-            }
-            Frame::Decide(it) => {
-                put_u8(&mut b, TAG_DECIDE);
-                put_item(&mut b, it);
-            }
-            Frame::DecideBatch { items } => {
-                put_u8(&mut b, TAG_DECIDE_BATCH);
-                put_u32(&mut b, items.len() as u32);
-                for it in items {
-                    put_item(&mut b, it);
                 }
             }
             Frame::IssueProof {
@@ -809,25 +761,6 @@ impl Frame {
                 put_u8(&mut b, *code);
                 put_str(&mut b, msg);
             }
-            Frame::Verdict {
-                kind,
-                epoch,
-                reason,
-            } => {
-                put_u8(&mut b, TAG_VERDICT);
-                put_u8(&mut b, *kind);
-                put_u64(&mut b, *epoch);
-                put_opt_str(&mut b, reason.as_deref());
-            }
-            Frame::VerdictBatch { verdicts } => {
-                put_u8(&mut b, TAG_VERDICT_BATCH);
-                put_u32(&mut b, verdicts.len() as u32);
-                for (kind, epoch, reason) in verdicts {
-                    put_u8(&mut b, *kind);
-                    put_u64(&mut b, *epoch);
-                    put_opt_str(&mut b, reason.as_deref());
-                }
-            }
             Frame::HandoffState { object, state } => {
                 put_u8(&mut b, TAG_HANDOFF_STATE);
                 put_str(&mut b, object);
@@ -884,21 +817,10 @@ impl Frame {
     pub fn decode(payload: &[u8]) -> Result<Frame, WireError> {
         let mut d = Dec::new(payload);
         let version = d.u8()?;
-        if version != PROTOCOL_VERSION && version != PROTOCOL_VERSION_2 {
+        if version != PROTOCOL_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let tag = d.u8()?;
-        // Version/tag consistency: correlated tags require the v2 stamp and
-        // v1 tags must not carry it, so a peer can dispatch on the version
-        // byte alone without re-inspecting the tag.
-        let is_v2_tag = matches!(
-            tag,
-            TAG_DECIDE2 | TAG_DECIDE_BATCH2 | TAG_VERDICT2 | TAG_VERDICT_BATCH2 | TAG_ERR2
-        );
-        if is_v2_tag != (version == PROTOCOL_VERSION_2) {
-            return Err(WireError::BadVersion(version));
-        }
-        let frame = match tag {
+        let frame = match d.u8()? {
             TAG_HELLO => Frame::Hello {
                 proto: d.u16()?,
                 peer: d.str()?,
@@ -919,15 +841,6 @@ impl Frame {
                     roles.push(d.u32()?);
                 }
                 Frame::Enroll { object, roles }
-            }
-            TAG_DECIDE => Frame::Decide(dec_item(&mut d)?),
-            TAG_DECIDE_BATCH => {
-                let n = d.count()?;
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    items.push(dec_item(&mut d)?);
-                }
-                Frame::DecideBatch { items }
             }
             TAG_ISSUE_PROOF => Frame::IssueProof {
                 object: d.u32()?,
@@ -978,22 +891,6 @@ impl Frame {
                 code: d.u8()?,
                 msg: d.str()?,
             },
-            TAG_VERDICT => Frame::Verdict {
-                kind: d.u8()?,
-                epoch: d.u64()?,
-                reason: d.opt_str()?,
-            },
-            TAG_VERDICT_BATCH => {
-                let n = d.count()?;
-                let mut verdicts = Vec::new();
-                for _ in 0..n {
-                    let kind = d.u8()?;
-                    let epoch = d.u64()?;
-                    let reason = d.opt_str()?;
-                    verdicts.push((kind, epoch, reason));
-                }
-                Frame::VerdictBatch { verdicts }
-            }
             TAG_HANDOFF_STATE => Frame::HandoffState {
                 object: d.str()?,
                 state: dec_handoff(&mut d)?,
@@ -1053,7 +950,7 @@ mod tests {
     fn every_variant_round_trips() {
         let frames = vec![
             Frame::Hello {
-                proto: 1,
+                proto: PROTOCOL_VERSION as u16,
                 peer: "s1".into(),
             },
             Frame::Vocab {
@@ -1063,21 +960,27 @@ mod tests {
                 object: 3,
                 roles: vec![0, 7],
             },
-            Frame::Decide(DecideItem {
-                object: 1,
-                time: 2.5,
-                access: WireAccess {
-                    op: 0,
-                    resource: 1,
-                    server: 2,
+            Frame::Decide2 {
+                id: 4,
+                item: DecideItem {
+                    object: 1,
+                    time: 2.5,
+                    access: WireAccess {
+                        op: 0,
+                        resource: 1,
+                        server: 2,
+                    },
+                    remaining: vec![WireAccess {
+                        op: 0,
+                        resource: 1,
+                        server: 2,
+                    }],
                 },
-                remaining: vec![WireAccess {
-                    op: 0,
-                    resource: 1,
-                    server: 2,
-                }],
-            }),
-            Frame::DecideBatch { items: vec![] },
+            },
+            Frame::DecideBatch2 {
+                id: 5,
+                items: vec![],
+            },
             Frame::IssueProof {
                 object: 9,
                 access: WireAccess {
@@ -1111,7 +1014,7 @@ mod tests {
             },
             Frame::PolicyActivate { epoch: 3 },
             Frame::HelloAck {
-                proto: 1,
+                proto: PROTOCOL_VERSION as u16,
                 server: "s2".into(),
             },
             Frame::Ok,
@@ -1119,13 +1022,20 @@ mod tests {
                 code: ERR_HANDOFF,
                 msg: "nope".into(),
             },
-            Frame::Verdict {
+            Frame::Verdict2 {
+                id: 4,
                 kind: 5,
                 epoch: 2,
                 reason: Some("custody in flight".into()),
             },
-            Frame::VerdictBatch {
+            Frame::VerdictBatch2 {
+                id: 5,
                 verdicts: vec![(0, 0, None), (3, 7, Some("budget".into()))],
+            },
+            Frame::Err2 {
+                id: 6,
+                code: ERR_NOT_CUSTODIAN,
+                msg: "homed elsewhere".into(),
             },
             Frame::HandoffState {
                 object: "o".into(),
@@ -1183,6 +1093,16 @@ mod tests {
             Frame::decode(&[PROTOCOL_VERSION, TAG_OK, 0xFF]),
             Err(WireError::TrailingBytes(1))
         ));
+        // Protocol 1 is retired: its stamp is refused even on a frame
+        // whose body would still decode.
+        assert_eq!(Frame::decode(&[1, TAG_OK]), Err(WireError::BadVersion(1)));
+        // So are its uncorrelated decide/verdict tags.
+        for retired in [0x04, 0x05, 0x84, 0x85] {
+            assert_eq!(
+                Frame::decode(&[PROTOCOL_VERSION, retired]),
+                Err(WireError::BadTag(retired))
+            );
+        }
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //!   slow peer never stalls the loop;
 //! * [`client`] — the synchronous client, including
 //!   [`client::Client::decide_failsafe`]: an unreachable member yields a
-//!   counted `DeniedCoordination`, never an open gate — plus the
-//!   pipelined v2 mode ([`client::Pipeline`]) keeping a window of
-//!   request-id-correlated decisions in flight per connection.
+//!   counted `DeniedCoordination`, never an open gate. Every decision
+//!   is a request-id-correlated `Decide2` frame: [`client::Pipeline`]
+//!   keeps a window of them in flight per connection, and a sequential
+//!   [`client::Client::decide`] is a window of 1.
 //!
 //! Telemetry rides on `stacl-obs`: `net.frame-tx/rx`, `net.bytes-tx/rx`,
 //! `net.retry`, `net.handoff-applied/failed`, `net.failsafe-denial`,
@@ -50,4 +51,4 @@ pub mod wire;
 pub use client::{Client, NetError, Pipeline, Router};
 pub use daemon::{spawn, DaemonConfig, DaemonHandle};
 pub use frames::Frame;
-pub use wire::{FrameAssembler, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION, PROTOCOL_VERSION_2};
+pub use wire::{FrameAssembler, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};

@@ -4,18 +4,23 @@
 //! the request that asked for it. A window-full client must apply
 //! backpressure (block) rather than drop requests, and a response
 //! correlating to no in-flight request must be a clean protocol error.
+//! Against a real daemon, an `Err2` in mid-window resolves only the
+//! request it answers.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use stacl_coalition::{DecisionKind, Verdict};
+use stacl_coalition::{DecisionKind, ProofStore, Verdict};
 use stacl_ids::prop::forall;
 use stacl_ids::rng::SplitMix64;
+use stacl_naplet::guard::CoordinatedGuard;
 use stacl_net::frames::{kind_to_u8, Frame};
 use stacl_net::wire;
-use stacl_net::{Client, FrameAssembler, NetError};
+use stacl_net::{Client, DaemonConfig, FrameAssembler, NetError};
+use stacl_obs::Counter;
+use stacl_rbac::{AccessPattern, ExtendedRbac, Permission, RbacModel};
 use stacl_sral::Access;
 
 /// How the fake server answers `Decide2` frames.
@@ -126,7 +131,7 @@ fn shuffled_replies_correlate_by_request_id() {
 
         let mut expect: Vec<(u64, String)> = Vec::new();
         let mut got: Vec<(u64, Verdict)> = Vec::new();
-        let mut p = client.pipeline(window).expect("v2 negotiated");
+        let mut p = client.pipeline(window).expect("pipeline");
         for i in 0..n {
             let id = p
                 .submit("obj", &access, &remaining, i as f64)
@@ -198,7 +203,7 @@ fn window_full_applies_backpressure_not_drop() {
     const N: usize = 64;
     const WINDOW: usize = 4;
 
-    let mut p = client.pipeline(WINDOW).expect("v2 negotiated");
+    let mut p = client.pipeline(WINDOW).expect("pipeline");
     let mut done = 0usize;
     for i in 0..N {
         p.submit("obj", &access, &remaining, i as f64)
@@ -221,7 +226,7 @@ fn unknown_request_id_is_a_protocol_error() {
     let access = Access::new(ACCESS_PARTS.0, ACCESS_PARTS.1, ACCESS_PARTS.2);
     let remaining = [access.clone()];
 
-    let mut p = client.pipeline(4).expect("v2 negotiated");
+    let mut p = client.pipeline(4).expect("pipeline");
     p.submit("obj", &access, &remaining, 0.0).expect("submit");
     let err = p.finish().expect_err("bogus id must not resolve");
     match err {
@@ -235,4 +240,61 @@ fn unknown_request_id_is_a_protocol_error() {
     }
     drop(client);
     let _ = server.join();
+}
+
+/// Regression: an `Err2` in mid-window resolves only its own request.
+/// The daemon refuses the request with a non-finite time; that one
+/// request fails safe (counted), the other three keep their grants, and
+/// no completion of this stream leaks into the next one on the same
+/// connection.
+#[test]
+fn err2_mid_window_fails_only_its_own_request() {
+    stacl_obs::set_telemetry(true);
+    let mut model = RbacModel::new();
+    model.add_role("staff");
+    model
+        .add_permission(Permission::new("p-any", AccessPattern::any()))
+        .unwrap();
+    model.assign_permission("staff", "p-any").unwrap();
+    model.add_user("obj");
+    model.assign_user("obj", "staff").unwrap();
+    let guard = CoordinatedGuard::new(ExtendedRbac::new(model));
+    guard.enroll("obj", ["staff"]);
+    let mut h = stacl_net::spawn(guard, ProofStore::new(), DaemonConfig::new("err2-d0"))
+        .expect("bind loopback");
+    let mut client = connect(h.addr());
+    let access = Access::new(ACCESS_PARTS.0, ACCESS_PARTS.1, ACCESS_PARTS.2);
+    let remaining = [access.clone()];
+
+    let baseline = stacl_obs::snapshot();
+    let requests: Vec<(&str, &Access, &[Access], f64)> = [1.0, f64::NAN, 3.0, 4.0]
+        .into_iter()
+        .map(|t| ("obj", &access, &remaining[..], t))
+        .collect();
+    let kinds: Vec<DecisionKind> = client
+        .decide_stream_failsafe(&requests, 4)
+        .iter()
+        .map(|v| v.kind)
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            DecisionKind::Granted,
+            DecisionKind::DeniedCoordination,
+            DecisionKind::Granted,
+            DecisionKind::Granted,
+        ]
+    );
+    let d = stacl_obs::snapshot().diff(&baseline);
+    assert_eq!(
+        d.counter(Counter::NetFailsafeDenial),
+        1,
+        "one fail-safe denial"
+    );
+
+    let again = client.decide_stream_failsafe(&[("obj", &access, &remaining[..], 5.0)], 4);
+    assert_eq!(again.len(), 1);
+    assert!(again[0].is_granted(), "next stream grants: {:?}", again[0]);
+    drop(client);
+    h.shutdown();
 }

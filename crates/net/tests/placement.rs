@@ -10,8 +10,10 @@ use std::time::{Duration, Instant};
 
 use stacl_coalition::{DecisionKind, Placement, ProofStore};
 use stacl_naplet::guard::{CoordinatedGuard, Custody};
-use stacl_net::frames::{DecideItem, Frame, WireAccess, ERR_NOT_CUSTODIAN};
-use stacl_net::{wire, Client, DaemonConfig, DaemonHandle, NetError, Router};
+use stacl_net::frames::{
+    kind_from_u8, DecideItem, Frame, WireAccess, ERR_BAD_REQUEST, ERR_NOT_CUSTODIAN,
+};
+use stacl_net::{wire, Client, DaemonConfig, DaemonHandle, NetError, Router, PROTOCOL_VERSION};
 use stacl_obs::Counter;
 use stacl_rbac::{AccessPattern, ExtendedRbac, Permission, RbacModel};
 use stacl_sral::Access;
@@ -151,6 +153,124 @@ fn locate_and_one_redirect_hop_resolve_any_object() {
     }
 }
 
+/// A misrouted `Decide2` fails alone: inside a window of four, the one
+/// request for an object the ring homes elsewhere is answered
+/// `Err2 { ERR_NOT_CUSTODIAN }` (counted `placement.redirect`), and the
+/// other three keep their real verdicts. The raw exchange opens with a
+/// retired protocol-1 greeting, which is refused without closing the
+/// connection.
+#[test]
+fn misrouted_decide_in_a_window_gets_err2_alone() {
+    stacl_obs::set_telemetry(true);
+    let baseline = stacl_obs::snapshot();
+
+    let handles: Vec<DaemonHandle> = (0..3).map(|i| spawn_daemon(&format!("mr-d{i}"))).collect();
+    let members = members_of(&handles);
+    for h in &handles {
+        h.set_members(&members);
+    }
+    let ring = Placement::new(members.iter().map(|(n, _)| n.clone()));
+    // The member homing the most objects answers the window.
+    let homed_on = |m: &str| -> Vec<String> {
+        objects()
+            .into_iter()
+            .filter(|o| ring.home_of(o) == Some(m))
+            .collect()
+    };
+    let member = members
+        .iter()
+        .map(|(n, _)| n.clone())
+        .max_by_key(|n| homed_on(n).len())
+        .unwrap();
+    let idx = handles.iter().position(|h| h.name() == member).unwrap();
+    let local = homed_on(&member);
+    assert!(local.len() >= 3, "16 objects over 3 members");
+    let foreign = objects()
+        .into_iter()
+        .find(|o| ring.home_of(o) != Some(member.as_str()))
+        .expect("some object is homed elsewhere");
+
+    let timeout = Some(Duration::from_secs(5));
+    let mut c = Client::connect(handles[idx].addr(), "t", timeout).expect("connect");
+    for o in &local[..3] {
+        c.arrive(o, 0.0, None).expect("home arrival");
+    }
+
+    // Raw frames: greetings and vocabulary, then the whole window in one
+    // write, the misrouted request second.
+    let mut s = TcpStream::connect(handles[idx].addr()).expect("connect raw");
+    s.set_read_timeout(timeout).unwrap();
+    let window = [&local[0], &foreign, &local[1], &local[2]];
+    let mut names: Vec<String> = window.iter().map(|o| o.to_string()).collect();
+    names.extend(["read", "db", "s0"].map(String::from));
+    let mut bytes = Vec::new();
+    for f in [
+        Frame::Hello {
+            proto: 1,
+            peer: "raw".into(),
+        },
+        Frame::Hello {
+            proto: PROTOCOL_VERSION as u16,
+            peer: "raw".into(),
+        },
+        Frame::Vocab { names },
+    ] {
+        wire::put_frame(&mut bytes, &f.encode()).unwrap();
+    }
+    let wa = WireAccess {
+        op: 4,
+        resource: 5,
+        server: 6,
+    };
+    for id in 0..4u64 {
+        let item = DecideItem {
+            object: id as u32,
+            time: 1.0,
+            access: wa.clone(),
+            remaining: vec![wa.clone()],
+        };
+        wire::put_frame(&mut bytes, &Frame::Decide2 { id, item }.encode()).unwrap();
+    }
+    s.write_all(&bytes).unwrap();
+    let mut next = || Frame::decode(&wire::read_frame(&mut s).unwrap()).unwrap();
+    match next() {
+        Frame::Err { code, .. } => assert_eq!(code, ERR_BAD_REQUEST, "protocol 1 refused"),
+        other => panic!("protocol-1 greeting must be refused, got {other:?}"),
+    }
+    assert!(matches!(next(), Frame::HelloAck { .. }));
+    assert!(matches!(next(), Frame::Ok));
+    let mut replies: Vec<Frame> = (0..4).map(|_| next()).collect();
+    replies.sort_by_key(|f| match f {
+        Frame::Verdict2 { id, .. } | Frame::Err2 { id, .. } => *id,
+        other => panic!("uncorrelated reply {other:?}"),
+    });
+    for (id, reply) in replies.iter().enumerate() {
+        match reply {
+            Frame::Err2 { id: 1, code, msg } => {
+                assert_eq!(*code, ERR_NOT_CUSTODIAN, "misroute code");
+                assert!(msg.contains("homed on"), "refusal names the home: {msg}");
+            }
+            Frame::Verdict2 { id: got, kind, .. } if *got != 1 => {
+                assert_eq!(
+                    kind_from_u8(*kind).unwrap(),
+                    DecisionKind::Granted,
+                    "request {id} keeps its real verdict"
+                );
+            }
+            other => panic!("request {id}: unexpected reply {other:?}"),
+        }
+    }
+    let d = stacl_obs::snapshot().diff(&baseline);
+    assert!(
+        d.counter(Counter::PlacementRedirect) >= 1,
+        "misroute counted as a redirect"
+    );
+
+    for mut h in handles {
+        h.shutdown();
+    }
+}
+
 /// Churn rebalancing: a join drains exactly the keys the joiner now
 /// wins; a graceful leave drains everything the leaver held. Keys whose
 /// home never moved are untouched.
@@ -267,7 +387,7 @@ fn stall_loop(addr: SocketAddr, frames: usize, names_per_frame: usize) -> JoinHa
     wire::write_frame(
         &mut s,
         &Frame::Hello {
-            proto: 1,
+            proto: PROTOCOL_VERSION as u16,
             peer: "staller".to_string(),
         }
         .encode(),
@@ -339,12 +459,15 @@ fn severed_connection_frames_are_not_processed() {
     for i in 0..8 {
         wire::put_frame(
             &mut victim_bytes,
-            &Frame::Decide(DecideItem {
-                object: 0,
-                time: 10.0 + i as f64,
-                access: wa.clone(),
-                remaining: vec![wa.clone()],
-            })
+            &Frame::Decide2 {
+                id: i,
+                item: DecideItem {
+                    object: 0,
+                    time: 10.0 + i as f64,
+                    access: wa.clone(),
+                    remaining: vec![wa.clone()],
+                },
+            }
             .encode(),
         )
         .unwrap();

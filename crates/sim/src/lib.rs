@@ -43,8 +43,8 @@ pub use episode::{
     run_episode_opts, run_episode_with, Divergence, Episode, LEDGER_SAMPLE,
 };
 pub use net_driver::{
-    episode_for_seed_net, run_episode_net, run_episode_net_opts, run_episode_net_pipelined,
-    run_episode_net_placement, PlacementOpts,
+    episode_for_seed_net, run_episode_net, run_episode_net_opts, run_episode_net_placement,
+    PlacementOpts,
 };
 pub use oracle::{OracleBug, ReferenceOracle};
 pub use report::{repro, repro_profile, SweepReport};

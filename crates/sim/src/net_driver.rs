@@ -57,14 +57,6 @@ pub fn run_episode_net(
     run_episode_net_opts(sc, bug, n_daemons, None)
 }
 
-/// The window depth the pipelined replay opens per decision. The
-/// driver's event stream is data-dependent (each verdict gates the next
-/// proof broadcast), so the effective in-flight depth is 1 — what the
-/// pipelined replay validates is the full v2 correlated frame path
-/// (`Decide2`/`Verdict2`, id matching, coalesced writes), byte-identical
-/// to the in-process episode.
-const PIPELINE_WINDOW: usize = 16;
-
 /// [`run_episode_net`], optionally journaling policy changes and sampled
 /// verdicts into an audit [`Ledger`]. Sampling (every
 /// [`LEDGER_SAMPLE`]-th decision) and payloads mirror
@@ -76,21 +68,7 @@ pub fn run_episode_net_opts(
     n_daemons: usize,
     ledger: Option<&mut Ledger>,
 ) -> Result<Episode, String> {
-    run_episode_net_driver(sc, bug, n_daemons, ledger, false, None)
-}
-
-/// [`run_episode_net_opts`] over the **pipelined v2 transport**:
-/// decisions travel as request-id-correlated `Decide2` frames through
-/// [`Client::decide_stream_failsafe`] instead of synchronous v1
-/// `Decide` calls. Logs and ledgers must stay byte-identical to both
-/// the v1 replay and the in-process episode.
-pub fn run_episode_net_pipelined(
-    sc: &Scenario,
-    bug: Option<OracleBug>,
-    n_daemons: usize,
-    ledger: Option<&mut Ledger>,
-) -> Result<Episode, String> {
-    run_episode_net_driver(sc, bug, n_daemons, ledger, true, None)
+    run_episode_net_driver(sc, bug, n_daemons, ledger, None)
 }
 
 /// Options for the placement-routed replay ([`run_episode_net_placement`]).
@@ -122,7 +100,7 @@ pub fn run_episode_net_placement(
     ledger: Option<&mut Ledger>,
     opts: PlacementOpts,
 ) -> Result<Episode, String> {
-    run_episode_net_driver(sc, bug, n_daemons, ledger, false, Some(opts))
+    run_episode_net_driver(sc, bug, n_daemons, ledger, Some(opts))
 }
 
 fn run_episode_net_driver(
@@ -130,7 +108,6 @@ fn run_episode_net_driver(
     bug: Option<OracleBug>,
     n_daemons: usize,
     mut ledger: Option<&mut Ledger>,
-    pipelined: bool,
     placement: Option<PlacementOpts>,
 ) -> Result<Episode, String> {
     assert!(n_daemons >= 1, "a coalition needs at least one member");
@@ -370,7 +347,7 @@ fn run_episode_net_driver(
                 cursor[*obj] += 1;
                 let reachable = !dead.contains(&*access.server) && env.resolve(access).is_ok();
                 // Placement mode routes straight to the ring home — any
-                // other member would answer with a Redirect.
+                // other member would refuse with `ERR_NOT_CUSTODIAN`.
                 let target = match ring.as_ref() {
                     Some(r) => member_idx(r.home_of(name).expect("nonempty ring")),
                     None => custodian[*obj],
@@ -378,17 +355,7 @@ fn run_episode_net_driver(
                 let system_v = if reachable {
                     // An unreachable or crashed member resolves to the
                     // counted fail-safe denial inside either driver.
-                    if pipelined {
-                        clients[target]
-                            .decide_stream_failsafe(
-                                &[(name.as_str(), access, remaining, *time)],
-                                PIPELINE_WINDOW,
-                            )
-                            .pop()
-                            .expect("one verdict per submitted request")
-                    } else {
-                        clients[target].decide_failsafe(name, access, remaining, *time)
-                    }
+                    clients[target].decide_failsafe(name, access, remaining, *time)
                 } else {
                     stacl_obs::count(stacl_obs::Counter::VerdictDeniedUnknownTarget);
                     Verdict::denied(
