@@ -1,6 +1,6 @@
 //! E12 — decide throughput: the incremental cursor fast path vs the
 //! pre-PR from-scratch residual core on the 64-object × 1000-access
-//! fleet workload, plus the `decide_batch` parallel API (DESIGN.md §8).
+//! fleet workload (DESIGN.md §8).
 //!
 //! Each iteration drives the *entire* fleet workload against a fresh
 //! reactive guard, round-robin across objects (the harshest
@@ -8,7 +8,7 @@
 //! grows between its consecutive decisions). The machine-readable
 //! counterpart with percentiles is the `bench_decide` binary.
 
-use stacl::naplet::guard::{BatchRequest, GuardRequest};
+use stacl::naplet::guard::GuardRequest;
 use stacl::prelude::*;
 use stacl_bench::criterion::Criterion;
 use stacl_bench::{criterion_group, criterion_main, fleet_model};
@@ -63,28 +63,6 @@ fn run_fleet(incremental: bool) -> usize {
     grants
 }
 
-/// Run the whole fleet workload through one `decide_batch` call.
-fn run_fleet_batch() -> usize {
-    let (guard, names, vocab, programs) = fixture(true);
-    let proofs = ProofStore::new();
-    let mut reqs = Vec::with_capacity(OBJECTS * ACCESSES);
-    for k in 0..ACCESSES {
-        for obj in &names {
-            reqs.push(BatchRequest {
-                object: obj,
-                access: &vocab[k % vocab.len()],
-                remaining: &programs[k % vocab.len()],
-                time: TimePoint::new(k as f64),
-            });
-        }
-    }
-    guard
-        .decide_batch(&reqs, &proofs, true)
-        .iter()
-        .filter(|v| v.is_granted())
-        .count()
-}
-
 fn bench_decide_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("E12/decide-throughput/64x1000");
     // One full fleet run takes seconds; keep the shim to one warm run
@@ -95,13 +73,6 @@ fn bench_decide_throughput(c: &mut Criterion) {
     group.bench_function("incremental-sequential", |b| {
         b.iter(|| {
             let grants = run_fleet(true);
-            assert_eq!(grants, OBJECTS * ACCESSES);
-            black_box(grants)
-        })
-    });
-    group.bench_function("incremental-batch-api", |b| {
-        b.iter(|| {
-            let grants = run_fleet_batch();
             assert_eq!(grants, OBJECTS * ACCESSES);
             black_box(grants)
         })

@@ -5,7 +5,8 @@
 //! `--accesses` granted accesses against a reactive [`CoordinatedGuard`]
 //! whose single permission carries a cardinality constraint (so every
 //! decision runs a real spatial `P ⊨ C` check), and measures four
-//! decision-path configurations:
+//! decision-path configurations, every one through
+//! [`CoordinatedGuard::decide`]:
 //!
 //! | mode | core | concurrency |
 //! |---|---|---|
@@ -13,14 +14,13 @@
 //! | `incremental-sequential`       | cursor fast path         | 1 thread |
 //! | `incremental-global-lock`      | cursor fast path         | N threads behind one global mutex (pre-PR locking) |
 //! | `incremental-snapshot-parallel`| cursor fast path         | N threads, per-object gate shards only |
-//! | `incremental-snapshot-batch`   | cursor fast path         | `decide_batch` over the whole workload |
 //!
-//! Every mode reports ops/sec; modes with per-decision timing also
-//! report p50/p99 latency in microseconds. Output goes to `--out`
+//! Every mode reports ops/sec and p50/p99 per-decision latency in
+//! microseconds. Output goes to `--out`
 //! (default `BENCH_decide.json`).
 //!
 //! A second phase (E13) measures the `stacl-obs` telemetry overhead:
-//! the incremental sequential and batch-API modes are re-run with
+//! the incremental-sequential mode is re-run with
 //! telemetry on and off (`stacl::obs::set_telemetry`), and the resulting
 //! throughput pair, overhead percentage and the full `MetricsSnapshot`
 //! of the telemetry-on runs go to `--obs-out` (default `BENCH_obs.json`).
@@ -59,7 +59,7 @@
 //! Usage: `bench_decide [--objects 64] [--accesses 1000] [--threads 0] [--out BENCH_decide.json]
 //! [--obs-out BENCH_obs.json]` (`--threads 0` = available parallelism).
 
-use stacl::naplet::guard::{BatchRequest, GuardRequest};
+use stacl::naplet::guard::GuardRequest;
 use stacl::prelude::*;
 use stacl_bench::fleet_model;
 use stacl_ids::json::JsonWriter;
@@ -71,10 +71,9 @@ use std::time::{Duration, Instant};
 struct ModeResult {
     name: &'static str,
     ops_per_sec: f64,
-    /// Per-decision latency percentiles (µs); absent for the batch API
-    /// mode, whose per-decision cost is only observable amortised.
-    p50_us: Option<f64>,
-    p99_us: Option<f64>,
+    /// Per-decision latency percentiles (µs).
+    p50_us: f64,
+    p99_us: f64,
     elapsed_s: f64,
     decisions: usize,
 }
@@ -129,7 +128,6 @@ fn main() {
             threads,
             false,
         ),
-        run_batch_api("incremental-snapshot-batch", objects, accesses),
     ];
 
     // ---- E15: live-rollout cost (DESIGN.md §12) ----
@@ -236,16 +234,10 @@ fn main() {
     let attr_pair = (hand, lowered);
 
     for r in &results {
-        match (r.p50_us, r.p99_us) {
-            (Some(p50), Some(p99)) => eprintln!(
-                "  {:<30} {:>12.0} ops/s  p50 {:>8.2} us  p99 {:>8.2} us",
-                r.name, r.ops_per_sec, p50, p99
-            ),
-            _ => eprintln!(
-                "  {:<30} {:>12.0} ops/s  (amortised; no per-decision timing)",
-                r.name, r.ops_per_sec
-            ),
-        }
+        eprintln!(
+            "  {:<30} {:>12.0} ops/s  p50 {:>8.2} us  p99 {:>8.2} us",
+            r.name, r.ops_per_sec, r.p50_us, r.p99_us
+        );
     }
 
     let json = render_json(
@@ -277,42 +269,30 @@ fn main() {
     stacl::obs::set_telemetry(true);
     stacl::obs::reset();
     let mut seq_on = run_sequential("incremental-sequential (obs on)", objects, accesses, true);
-    let mut batch_on = run_batch_api("incremental-snapshot-batch (obs on)", objects, accesses);
-    // The snapshot after the first telemetry-on pair is the exported
-    // metrics payload: it exercises every grant-path counter and both
-    // histograms exactly once per mode.
+    // The snapshot after the first telemetry-on run is the exported
+    // metrics payload: it exercises every grant-path counter and the
+    // decide histogram exactly once.
     let metrics = stacl::obs::snapshot();
     stacl::obs::set_telemetry(false);
     let mut seq_off = run_sequential("incremental-sequential (obs off)", objects, accesses, true);
-    let mut batch_off = run_batch_api("incremental-snapshot-batch (obs off)", objects, accesses);
     for _ in 1..TRIALS {
         stacl::obs::set_telemetry(true);
         seq_on = best(
             seq_on,
             run_sequential("incremental-sequential (obs on)", objects, accesses, true),
         );
-        batch_on = best(
-            batch_on,
-            run_batch_api("incremental-snapshot-batch (obs on)", objects, accesses),
-        );
         stacl::obs::set_telemetry(false);
         seq_off = best(
             seq_off,
             run_sequential("incremental-sequential (obs off)", objects, accesses, true),
         );
-        batch_off = best(
-            batch_off,
-            run_batch_api("incremental-snapshot-batch (obs off)", objects, accesses),
-        );
     }
     stacl::obs::set_telemetry(true);
-    for r in [&seq_on, &seq_off, &batch_on, &batch_off] {
+    for r in [&seq_on, &seq_off] {
         eprintln!("  {:<38} {:>12.0} ops/s", r.name, r.ops_per_sec);
     }
 
-    let obs_json = render_obs_json(
-        objects, accesses, &seq_on, &seq_off, &batch_on, &batch_off, &metrics,
-    );
+    let obs_json = render_obs_json(objects, accesses, &seq_on, &seq_off, &metrics);
     std::fs::write(&obs_out, obs_json).expect("write --obs-out");
     eprintln!("wrote {obs_out}");
 }
@@ -323,20 +303,14 @@ fn overhead_pct(on: &ModeResult, off: &ModeResult) -> f64 {
     (off.ops_per_sec / on.ops_per_sec - 1.0) * 100.0
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_obs_json(
     objects: usize,
     accesses: usize,
     seq_on: &ModeResult,
     seq_off: &ModeResult,
-    batch_on: &ModeResult,
-    batch_off: &ModeResult,
     metrics: &stacl::obs::MetricsSnapshot,
 ) -> String {
-    let modes = [
-        ("incremental-sequential", seq_on, seq_off),
-        ("incremental-snapshot-batch", batch_on, batch_off),
-    ];
+    let modes = [("incremental-sequential", seq_on, seq_off)];
     let mut w = JsonWriter::object();
     w.field_str("experiment", "E13-telemetry-overhead");
     w.field_usize("objects", objects);
@@ -350,8 +324,8 @@ fn render_obs_json(
         w.close();
     }
     w.close();
-    // Headline number: the sequential mode (per-decision path, where the
-    // record calls are proportionally largest).
+    // Headline number: the per-decision path, where the record calls are
+    // proportionally largest.
     w.field_f64("overhead_pct", round3(overhead_pct(seq_on, seq_off)));
     w.field_raw("metrics", metrics.to_json().trim_end());
     w.finish()
@@ -418,8 +392,8 @@ fn stats(name: &'static str, elapsed_s: f64, mut lat_us: Vec<f64>, decisions: us
     ModeResult {
         name,
         ops_per_sec: decisions as f64 / elapsed_s,
-        p50_us: Some(percentile(&lat_us, 0.50)),
-        p99_us: Some(percentile(&lat_us, 0.99)),
+        p50_us: percentile(&lat_us, 0.50),
+        p99_us: percentile(&lat_us, 0.99),
         elapsed_s,
         decisions,
     }
@@ -634,46 +608,6 @@ fn run_parallel(
     )
 }
 
-/// The public `decide_batch` API: the whole workload in one call,
-/// round-robin order, proofs issued inside the batch. Reports amortised
-/// throughput only (per-decision timing isn't observable through the
-/// API).
-fn run_batch_api(name: &'static str, objects: usize, accesses: usize) -> ModeResult {
-    let guard = fleet_guard(objects, accesses, true);
-    let proofs = ProofStore::new();
-    let vocab = vocab();
-    let names: Vec<String> = (0..objects).map(|i| format!("n{i}")).collect();
-    let programs: Vec<Program> = vocab.iter().map(|a| Program::Access(a.clone())).collect();
-
-    let mut reqs = Vec::with_capacity(objects * accesses);
-    for k in 0..accesses {
-        for obj in &names {
-            reqs.push(BatchRequest {
-                object: obj,
-                access: &vocab[k % vocab.len()],
-                remaining: &programs[k % vocab.len()],
-                time: TimePoint::new(k as f64),
-            });
-        }
-    }
-
-    let start = Instant::now();
-    let verdicts = guard.decide_batch(&reqs, &proofs, true);
-    let elapsed = start.elapsed().as_secs_f64();
-    assert!(
-        verdicts.iter().all(|v| v.is_granted()),
-        "fleet workload must be all-grant"
-    );
-    ModeResult {
-        name,
-        ops_per_sec: verdicts.len() as f64 / elapsed,
-        p50_us: None,
-        p99_us: None,
-        elapsed_s: elapsed,
-        decisions: verdicts.len(),
-    }
-}
-
 /// E19 fixture: a hand-written policy and an attribute policy that
 /// lowers to the *same* SRAC/temporal primitives, both as pushable
 /// policy text. The fleet's four workload servers sit inside the
@@ -759,12 +693,11 @@ fn render_json(
     let inc = find("incremental-sequential");
     let locked = find("incremental-global-lock");
     let snap = find("incremental-snapshot-parallel");
-    let batch = find("incremental-snapshot-batch");
     let no_flip = find("steady-no-flip");
     let flipped = find("steady-under-flips");
     // "Best" ranges over the E12 ablation modes only — the steady E15
     // runs re-measure one of them, they don't compete with it.
-    let best = [scratch, inc, locked, snap, batch]
+    let best = [scratch, inc, locked, snap]
         .iter()
         .map(|r| r.ops_per_sec)
         .fold(0.0f64, f64::max);
@@ -778,14 +711,8 @@ fn render_json(
     for r in results {
         w.open_object(r.name);
         w.field_f64("ops_per_sec", round3(r.ops_per_sec));
-        match r.p50_us {
-            Some(v) => w.field_f64("p50_us", round3(v)),
-            None => w.field_raw("p50_us", "null"),
-        }
-        match r.p99_us {
-            Some(v) => w.field_f64("p99_us", round3(v)),
-            None => w.field_raw("p99_us", "null"),
-        }
+        w.field_f64("p50_us", round3(r.p50_us));
+        w.field_f64("p99_us", round3(r.p99_us));
         w.field_f64("elapsed_s", round3(r.elapsed_s));
         w.field_usize("decisions", r.decisions);
         w.close();
@@ -798,10 +725,6 @@ fn render_json(
     w.field_f64(
         "speedup_snapshot_vs_global_lock",
         round3(snap.ops_per_sec / locked.ops_per_sec),
-    );
-    w.field_f64(
-        "speedup_batch_api_vs_from_scratch",
-        round3(batch.ops_per_sec / scratch.ops_per_sec),
     );
     w.field_f64(
         "speedup_best_vs_from_scratch",

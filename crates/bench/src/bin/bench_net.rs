@@ -540,8 +540,8 @@ fn run_wire(
 ) -> ModeResult {
     let remaining: Vec<Vec<Access>> = vocab.iter().map(|a| vec![a.clone()]).collect();
     // The batch mode ships 32 time steps per frame: batching exists to
-    // amortize both the round-trip and the daemon's per-batch setup, so
-    // a realistic client coalesces aggressively.
+    // amortize the round trip and the per-frame codec work, so a
+    // realistic client coalesces aggressively.
     const STEPS_PER_FRAME: usize = 32;
     let start = Instant::now();
     let mut k = 0;

@@ -385,32 +385,26 @@ pub fn ledger(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `stacl metrics [--seeds N] [--start-seed S] [--batch true|false]
-/// [--out FILE]`
+/// `stacl metrics [--seeds N] [--start-seed S] [--out FILE]`
 ///
 /// Runs a telemetry-enabled sim sweep (no oracle-bug injection) and prints
 /// the decision-path [`stacl_obs::MetricsSnapshot`] as JSON: verdict
 /// counters, cursor fast-path hits vs. per-rule declines (DESIGN.md §8),
 /// constraint-cache hits/misses, snapshot rebuilds, watermark advances and
-/// the decide/batch latency histograms. `--out FILE` also writes the JSON
+/// the decide and handoff latency histograms. `--out FILE` also writes the JSON
 /// to a file.
 pub fn metrics(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["seeds", "start-seed", "batch", "out"])?;
+    let opts = Opts::parse(args, &["seeds", "start-seed", "out"])?;
     let [] = opts.expect_positional(&[])? else {
         unreachable!()
     };
     let seeds: u64 = opts.get_parsed("seeds", 16)?;
     let start: u64 = opts.get_parsed("start-seed", 0)?;
-    let batch: bool = opts.get_parsed("batch", false)?;
 
     stacl_obs::set_telemetry(true);
     let baseline = stacl_obs::snapshot();
     for seed in start..start.saturating_add(seeds) {
-        let ep = if batch {
-            stacl_sim::episode_for_seed_batched(seed, None)
-        } else {
-            stacl_sim::episode_for_seed(seed, None)
-        };
+        let ep = stacl_sim::episode_for_seed(seed, None);
         if let Some(d) = ep.divergence {
             return Err(format!("seed {seed} diverged: {d}"));
         }
@@ -424,18 +418,16 @@ pub fn metrics(args: &[String]) -> Result<(), String> {
 }
 
 /// `stacl sim run [--seeds N] [--start-seed S] [--oracle-bug B]
-/// [--out DIR] [--max-seconds T] [--batch true|false]`
+/// [--out DIR] [--max-seconds T]`
 ///
 /// Sweeps `N` seeded episodes starting at `S`, cross-checking the real
 /// guard against the reference oracle. Exits non-zero if any episode
 /// diverges; with `--out DIR` every diverging seed's full repro dump is
 /// written to `DIR/seed-<seed>.txt`. `--max-seconds` stops the sweep
-/// early (for time-boxed nightly runs). `--batch true` drives episodes
-/// through the parallel `decide_batch` path — episode logs (and thus
-/// divergence results) are byte-identical to the sequential driver's.
+/// early (for time-boxed nightly runs).
 /// `--transport net` replays each episode over a loopback coalition of
-/// `--daemons N` guard daemons speaking the wire protocol, again with
-/// byte-identical logs. `--churn F` injects `F` mid-episode policy flips
+/// `--daemons N` guard daemons speaking the wire protocol, with logs
+/// byte-identical to the in-process driver's. `--churn F` injects `F` mid-episode policy flips
 /// per scenario (live two-phase rollouts over the wire under
 /// `--transport net`). `--ledger FILE` journals every policy change and
 /// sampled verdict into one hash-chained audit ledger across the whole
@@ -459,7 +451,6 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
             "oracle-bug",
             "out",
             "max-seconds",
-            "batch",
             "stats",
             "transport",
             "daemons",
@@ -476,7 +467,6 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
     let bug = OracleBug::parse(opts.get("oracle-bug").unwrap_or("none"))?;
     let out_dir = opts.get("out").map(str::to_string);
     let max_seconds: f64 = opts.get_parsed("max-seconds", 0.0)?;
-    let batch: bool = opts.get_parsed("batch", false)?;
     let stats: bool = opts.get_parsed("stats", false)?;
     let net = match opts.get("transport").unwrap_or("in-process") {
         "in-process" => false,
@@ -490,11 +480,6 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
     if profile.is_some() && churn > 0 {
         return Err("--profile generates its own fixed policy; \
                     it cannot be combined with --churn"
-            .into());
-    }
-    if net && batch {
-        return Err("--transport net replays decisions one frame at a time; \
-                    it cannot be combined with --batch true"
             .into());
     }
     // One chain for the whole sweep; under --transport net a second chain
@@ -525,7 +510,7 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
             let ep = run_episode_net_opts(&sc, bug, daemons, ledger.as_mut())?;
             // Wire-level differential validation: the networked replay
             // must reproduce the in-process verdict log byte for byte.
-            let reference = run_episode_opts(&sc, bug, false, ref_ledger.as_mut());
+            let reference = run_episode_opts(&sc, bug, ref_ledger.as_mut());
             if ep.log != reference.log {
                 if let Some(dir) = &out_dir {
                     let path = format!("{dir}/seed-{seed}-transport.txt");
@@ -542,7 +527,7 @@ pub fn sim_run(args: &[String]) -> Result<(), String> {
             }
             ep
         } else {
-            run_episode_opts(&sc, bug, batch, ledger.as_mut())
+            run_episode_opts(&sc, bug, ledger.as_mut())
         };
         if ep.divergence.is_some() {
             if let Some(dir) = &out_dir {

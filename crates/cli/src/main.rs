@@ -28,7 +28,7 @@
 //!        --profile commuter|fleet-convoy|flash-crowd|partition-heal|workflow
 //! stacl sim    repro <seed> [--oracle-bug B] [--profile NAME]
 //! stacl metrics [opts]                             decision-path telemetry JSON
-//!        --seeds N --start-seed S --batch true|false --out FILE
+//!        --seeds N --start-seed S --out FILE
 //! ```
 //!
 //! Arguments are parsed by hand — the tool's needs are small and the
@@ -89,11 +89,11 @@ USAGE:
                [--on-deny abort|skip]
   stacl audit  [--modules N] [--servers K] [--seed S] [--tamper NAME|first]
   stacl sim    run [--seeds N] [--start-seed S] [--oracle-bug B] [--out DIR]
-               [--max-seconds T] [--batch true|false] [--stats true|false]
+               [--max-seconds T] [--stats true|false]
                [--transport in-process|net] [--daemons N] [--churn F]
                [--ledger FILE] [--profile NAME]
   stacl sim    repro <seed> [--oracle-bug B] [--profile NAME]
-  stacl metrics [--seeds N] [--start-seed S] [--batch true|false] [--out FILE]
+  stacl metrics [--seeds N] [--start-seed S] [--out FILE]
   stacl serve  --policy <file.policy> --name SERVER [--listen ADDR]
                [--peers n=addr,...] [--custody open|strict] [--skew S]
                [--enroll obj=role+role,...]

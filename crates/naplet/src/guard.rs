@@ -17,8 +17,7 @@
 //! core itself is `&self` too ([`ExtendedRbac::decide`]), held behind a
 //! read-write lock that decisions only *read* — writers are the rare
 //! policy mutations ([`CoordinatedGuard::with_rbac`]) and first-contact
-//! session opens. [`CoordinatedGuard::decide_batch`] fans a batch of
-//! requests across object shards on a scoped thread pool.
+//! session opens.
 
 use stacl_coalition::{DecisionKind, Placement, ProofStore, Verdict};
 use stacl_ids::sync::{Mutex, RwLock};
@@ -29,7 +28,7 @@ use stacl_temporal::TimePoint;
 use stacl_trace::AccessTable;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// One interception: everything a guard may consult.
@@ -202,11 +201,6 @@ pub struct CoordinatedGuard {
     /// (explicit handoff imports stay authoritative), so two members can
     /// never both claim a racing arrival.
     placement: RwLock<Option<(String, Placement)>>,
-    /// Recycled batch-worker interning tables. Verdicts are
-    /// table-independent, so a worker may inherit any table; reuse keeps
-    /// the interned alphabet warm across [`CoordinatedGuard::decide_batch`]
-    /// calls instead of re-growing it per batch.
-    table_pool: Mutex<Vec<AccessTable>>,
 }
 
 impl CoordinatedGuard {
@@ -219,7 +213,6 @@ impl CoordinatedGuard {
             approval_reuse: true,
             custody_enforced: AtomicBool::new(false),
             placement: RwLock::new(None),
-            table_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -545,134 +538,6 @@ impl CoordinatedGuard {
     pub fn note_arrival(&self, object: &str, time: TimePoint) {
         self.rbac.read().note_arrival(object, time);
     }
-
-    /// Decide a batch of requests in parallel, fanned across object
-    /// shards on a scoped thread pool. Per-object request order is
-    /// preserved (each object's requests run sequentially, in batch
-    /// order, on one worker); requests for distinct objects run
-    /// concurrently and the result vector lines up with `requests`.
-    ///
-    /// With `issue_proofs`, each grant's execution proof is issued
-    /// (timestamped [`BatchRequest::time`]) before the object's next
-    /// request — required for within-batch spatial correctness when the
-    /// caller doesn't interleave issuance itself.
-    ///
-    /// Callers must only batch requests whose decisions are independent:
-    /// verdicts depend on per-object state plus the proof store, so
-    /// batching is sound per object — but *team-scoped* constraints read
-    /// companions' proofs, and those grow in nondeterministic order
-    /// within a batch. Batch team-scoped workloads one request at a time
-    /// (the sim driver does exactly that).
-    pub fn decide_batch(
-        &self,
-        requests: &[BatchRequest<'_>],
-        proofs: &ProofStore,
-        issue_proofs: bool,
-    ) -> Vec<Verdict> {
-        let t0 = stacl_obs::batch_timer();
-        // Group request indices by object, preserving first-seen order
-        // (and per-object order within each group).
-        let mut order: Vec<&str> = Vec::new();
-        let mut by_object: HashMap<&str, Vec<usize>> = HashMap::new();
-        for (i, r) in requests.iter().enumerate() {
-            by_object
-                .entry(r.object)
-                .or_insert_with(|| {
-                    order.push(r.object);
-                    Vec::new()
-                })
-                .push(i);
-        }
-        // Every name in `order` was inserted above; an (impossible) miss
-        // yields an empty group rather than a mid-batch panic.
-        let groups: Vec<Vec<usize>> = order
-            .iter()
-            .map(|o| by_object.remove(o).unwrap_or_default())
-            .collect();
-
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(groups.len())
-            .max(1);
-        let slots: Vec<Mutex<Option<Verdict>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    // Verdicts are independent of the caller's table (ids
-                    // are internal to a decision), so each worker interns
-                    // into its own — recycled across batches via the pool
-                    // so the alphabet stays warm.
-                    let mut table = self.table_pool.lock().pop().unwrap_or_default();
-                    loop {
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(group) = groups.get(g) else { break };
-                        for &i in group {
-                            let r = &requests[i];
-                            let gr = GuardRequest {
-                                object: r.object,
-                                access: r.access,
-                                remaining: r.remaining,
-                                time: r.time,
-                            };
-                            // A panicking decision must not take the whole
-                            // batch (and its scoped-thread join) down: the
-                            // decision core's locks recover from poisoning,
-                            // so catch the panic, count it, and deny this
-                            // one request fail-safe.
-                            let v = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                self.decide(&gr, proofs, &mut table)
-                            }))
-                            .unwrap_or_else(|_| {
-                                stacl_obs::count(stacl_obs::Counter::BatchPanicRecovered);
-                                Verdict::denied(
-                                    DecisionKind::DeniedNoPermission,
-                                    "internal error: decision panicked; denied fail-safe",
-                                )
-                            });
-                            if issue_proofs && v.is_granted() {
-                                proofs.issue(r.object, r.access.clone(), r.time);
-                            }
-                            *slots[i].lock() = Some(v);
-                        }
-                    }
-                    self.table_pool.lock().push(table);
-                });
-            }
-        });
-        let verdicts: Vec<Verdict> = slots
-            .into_iter()
-            .map(|m| {
-                // Workers fill every slot; an (impossible) hole denies
-                // fail-safe instead of panicking after the batch ran.
-                m.into_inner().unwrap_or_else(|| {
-                    Verdict::denied(
-                        DecisionKind::DeniedNoPermission,
-                        "internal error: no verdict recorded for batched request",
-                    )
-                })
-            })
-            .collect();
-        stacl_obs::observe_batch(t0, requests.len());
-        verdicts
-    }
-}
-
-/// One element of a [`CoordinatedGuard::decide_batch`] batch — a
-/// [`GuardRequest`] by another shape (no lifetime-juggling borrows of a
-/// loop-local `GuardRequest`).
-#[derive(Debug)]
-pub struct BatchRequest<'a> {
-    /// The requesting mobile object.
-    pub object: &'a str,
-    /// The access being attempted.
-    pub access: &'a Access,
-    /// The object's remaining program, including the attempted access.
-    pub remaining: &'a Program,
-    /// Current virtual time.
-    pub time: TimePoint,
 }
 
 impl SecurityGuard for CoordinatedGuard {

@@ -166,56 +166,6 @@ fn sharded_concurrent_decisions_match_sequential() {
     }
 }
 
-#[test]
-fn decide_batch_matches_sequential_per_object() {
-    use stacl_naplet::guard::BatchRequest;
-    // Sequential reference through the `&mut` adapter.
-    let seq = sequential_logs();
-
-    // One big batch, round-robin interleaved across objects — the exact
-    // request multiset of the sequential run. `decide_batch` groups by
-    // object preserving order and (with `issue_proofs`) issues each
-    // grant's proof before the object's next request, so its output must
-    // be byte-identical per object.
-    let guard = scenario_guard();
-    let proofs = ProofStore::new();
-    let streams: Vec<_> = (0..OBJECTS).map(stream).collect();
-    let names: Vec<String> = (0..OBJECTS).map(|i| format!("n{i}")).collect();
-    let programs: Vec<Vec<stacl_sral::Program>> = streams
-        .iter()
-        .map(|s| {
-            s.iter()
-                .map(|(a, _)| stacl_sral::Program::Access(a.clone()))
-                .collect()
-        })
-        .collect();
-    let mut reqs = Vec::new();
-    for k in 0..REQUESTS {
-        for i in 0..OBJECTS {
-            let (a, t) = &streams[i][k];
-            reqs.push(BatchRequest {
-                object: &names[i],
-                access: a,
-                remaining: &programs[i][k],
-                time: *t,
-            });
-        }
-    }
-    let verdicts = guard.decide_batch(&reqs, &proofs, true);
-    assert_eq!(verdicts.len(), reqs.len());
-    let mut logs = vec![Vec::new(); OBJECTS];
-    for (r, v) in reqs.iter().zip(&verdicts) {
-        let i: usize = r.object[1..].parse().unwrap();
-        logs[i].push(format!(
-            "{} {} t={} -> {v}",
-            r.object,
-            r.access.server,
-            r.time.seconds()
-        ));
-    }
-    assert_eq!(seq, logs, "batched per-object logs must match sequential");
-}
-
 // ---------------------------------------------------------------------
 // Mixed interleaving: enroll, decide and note_arrival racing per object.
 // ---------------------------------------------------------------------

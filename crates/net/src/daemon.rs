@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 
 use stacl_coalition::{DecisionKind, ProofStore, Verdict};
 use stacl_ids::sync::{Mutex, RwLock};
-use stacl_naplet::guard::{BatchRequest, CoordinatedGuard, Custody, GuardRequest};
+use stacl_naplet::guard::{CoordinatedGuard, Custody, GuardRequest};
 use stacl_obs::Counter;
 use stacl_rbac::policy::parse_policy;
 use stacl_rbac::PreparedEpoch;
@@ -778,7 +778,7 @@ fn desync_verdict(shared: &Shared) -> Verdict {
 }
 
 /// Decide one owned request against the guard (or fail safe under epoch
-/// desync).
+/// desync). Both `Decide2` and every `DecideBatch2` item land here.
 fn decide_one(shared: &Shared, req: &OwnedRequest, table: &mut AccessTable) -> Verdict {
     if shared.epoch_desync.load(Ordering::SeqCst) {
         return desync_verdict(shared);
@@ -789,24 +789,21 @@ fn decide_one(shared: &Shared, req: &OwnedRequest, table: &mut AccessTable) -> V
         remaining: &req.remaining,
         time: req.time,
     };
-    shared.guard.decide(&greq, &shared.proofs, table)
+    deny_on_panic(|| shared.guard.decide(&greq, &shared.proofs, table))
 }
 
-/// Decide an owned batch (or fail safe under epoch desync).
-fn decide_many(shared: &Shared, owned: &[OwnedRequest]) -> Vec<Verdict> {
-    if shared.epoch_desync.load(Ordering::SeqCst) {
-        return owned.iter().map(|_| desync_verdict(shared)).collect();
-    }
-    let reqs: Vec<BatchRequest<'_>> = owned
-        .iter()
-        .map(|r| BatchRequest {
-            object: &r.object,
-            access: &r.access,
-            remaining: &r.remaining,
-            time: r.time,
-        })
-        .collect();
-    shared.guard.decide_batch(&reqs, &shared.proofs, false)
+/// Run one decision. A decision that panics must not take the event
+/// loop (and with it every connection) down: the guard's locks recover
+/// from poisoning, so the panic is caught, counted, and this one request
+/// is denied fail-safe.
+fn deny_on_panic(decide: impl FnOnce() -> Verdict) -> Verdict {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(decide)).unwrap_or_else(|_| {
+        stacl_obs::count(Counter::DecidePanicRecovered);
+        Verdict::denied(
+            DecisionKind::DeniedNoPermission,
+            "internal error: decision panicked; denied fail-safe",
+        )
+    })
 }
 
 /// Handle one decoded frame, queueing replies as slots. Returns `true`
@@ -874,9 +871,9 @@ fn handle_frame(
             {
                 Ok(owned) => Frame::VerdictBatch2 {
                     id,
-                    verdicts: decide_many(shared, &owned)
+                    verdicts: owned
                         .iter()
-                        .map(verdict_frame)
+                        .map(|req| verdict_frame(&decide_one(shared, req, &mut conn.table)))
                         .collect(),
                 },
                 Err(e) => Frame::Err2 {
@@ -1369,5 +1366,23 @@ fn try_pull(shared: &Shared, addr: SocketAddr, object: &str) -> Result<HandoffWi
         Frame::HandoffState { object: o, state } if o == object => Ok(state),
         Frame::Err { code, msg } => Err(format!("peer refused handoff (code {code}): {msg}")),
         other => Err(format!("expected HandoffState, got {other:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_decision_is_denied_and_counted() {
+        stacl_obs::set_telemetry(true);
+        let before = stacl_obs::snapshot();
+        let v = deny_on_panic(|| panic!("injected decision fault"));
+        assert_eq!(v.kind, DecisionKind::DeniedNoPermission);
+        assert!(v.reason.as_deref().unwrap_or("").contains("panicked"));
+        let d = stacl_obs::snapshot().diff(&before);
+        assert_eq!(d.counter(Counter::DecidePanicRecovered), 1);
+        // A decision that returns is passed through untouched.
+        assert!(deny_on_panic(Verdict::granted).is_granted());
     }
 }

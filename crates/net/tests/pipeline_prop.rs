@@ -5,7 +5,8 @@
 //! backpressure (block) rather than drop requests, and a response
 //! correlating to no in-flight request must be a clean protocol error.
 //! Against a real daemon, an `Err2` in mid-window resolves only the
-//! request it answers.
+//! request it answers, and a `DecideBatch2` answers exactly what the
+//! same requests get as window-1 `Decide2` calls, in request order.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -20,6 +21,7 @@ use stacl_net::frames::{kind_to_u8, Frame};
 use stacl_net::wire;
 use stacl_net::{Client, DaemonConfig, FrameAssembler, NetError};
 use stacl_obs::Counter;
+use stacl_rbac::policy::parse_policy;
 use stacl_rbac::{AccessPattern, ExtendedRbac, Permission, RbacModel};
 use stacl_sral::Access;
 
@@ -297,4 +299,77 @@ fn err2_mid_window_fails_only_its_own_request() {
     assert!(again[0].is_granted(), "next stream grants: {:?}", again[0]);
     drop(client);
     h.shutdown();
+}
+
+/// A daemon whose per-object state makes verdicts order-dependent: a
+/// cap-2 spatial constraint checked on every request (approval reuse
+/// off) and a 10 s whole-lifetime validity that activates on the first
+/// grant and refuses a request older than a recorded timeline event.
+fn spawn_stateful(name: &str) -> stacl_net::DaemonHandle {
+    let policy = "user x\nuser y\nuser z\nrole worker\n\
+                  permission p grants=exec:rsw:* spatial=\"count(0, 2, resource=rsw)\" \
+                  validity=10 scheme=whole-lifetime\n\
+                  grant worker p\nassign x worker\nassign y worker\nassign z worker\n";
+    let guard = CoordinatedGuard::new(ExtendedRbac::new(parse_policy(policy).unwrap()))
+        .with_approval_reuse(false);
+    for obj in ["x", "y", "z"] {
+        guard.enroll(obj, ["worker"]);
+    }
+    stacl_net::spawn(guard, ProofStore::new(), DaemonConfig::new(name)).expect("bind loopback")
+}
+
+/// The real daemon decides a `DecideBatch2` item by item, in request
+/// order, exactly as it decides window-1 `Decide2` calls: one batch that
+/// repeats objects (a third spatial request over the cap, a temporal
+/// budget running out, a clock regression) and mixes in an unenrolled
+/// object gets the same verdicts, in the same order, as the same
+/// requests sent one by one to a fresh daemon.
+#[test]
+fn decide_batch2_matches_window1_decide2_on_a_real_daemon() {
+    let a = Access::new("exec", "rsw", "s1");
+    let plan = |n: usize| vec![a.clone(); n];
+    let (one, two, three) = (plan(1), plan(2), plan(3));
+    let requests: Vec<(&str, &Access, &[Access], f64)> = vec![
+        ("x", &a, &one, 0.0),
+        ("y", &a, &one, 0.0),
+        ("x", &a, &two, 1.0),
+        ("z", &a, &one, 5.0),
+        ("y", &a, &one, 4.0),
+        ("x", &a, &three, 2.0),
+        ("z", &a, &one, 2.0),
+        ("y", &a, &one, 20.0),
+        ("stranger", &a, &one, 0.0),
+    ];
+
+    let mut batched_daemon = spawn_stateful("batch-d0");
+    let mut client = connect(batched_daemon.addr());
+    let batched = client.decide_batch(&requests).expect("batch decide");
+    drop(client);
+    batched_daemon.shutdown();
+
+    let mut single_daemon = spawn_stateful("single-d0");
+    let mut client = connect(single_daemon.addr());
+    let single: Vec<Verdict> = requests
+        .iter()
+        .map(|(o, a, r, t)| client.decide(o, a, r, *t).expect("decide"))
+        .collect();
+    drop(client);
+    single_daemon.shutdown();
+
+    let kinds: Vec<DecisionKind> = batched.iter().map(|v| v.kind).collect();
+    assert_eq!(
+        kinds,
+        [
+            DecisionKind::Granted,
+            DecisionKind::Granted,
+            DecisionKind::Granted,
+            DecisionKind::Granted,
+            DecisionKind::Granted,
+            DecisionKind::DeniedSpatial,
+            DecisionKind::DeniedTemporal,
+            DecisionKind::DeniedTemporal,
+            DecisionKind::DeniedNoPermission,
+        ]
+    );
+    assert_eq!(batched, single, "batch and window-1 verdicts differ");
 }

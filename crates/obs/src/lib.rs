@@ -14,8 +14,8 @@
 //!   fall back to `fetch_add` on a shared overflow stripe. Reads
 //!   ([`snapshot`]) sum across stripes.
 //! * **Fixed log₂-bucket latency histograms** for `decide` (sampled 1 in
-//!   [`SAMPLE_EVERY`] to keep clock reads off the common path) and
-//!   `decide_batch` (every batch, plus a batch-size distribution).
+//!   [`SAMPLE_EVERY`] to keep clock reads off the common path) and custody
+//!   handoffs (every handoff).
 //! * **No allocation on the steady-state record path** — only plain stores
 //!   to static storage. The one-time stripe claim on a thread's *first*
 //!   event registers a TLS destructor (which may allocate once per thread);
@@ -96,9 +96,9 @@ pub enum Counter {
     /// A timeline event arrived with a timestamp earlier than the latest
     /// recorded one (per-server clock skew); rejected instead of panicking.
     ClockRegression,
-    /// A panicking per-request decision inside `decide_batch` was caught and
-    /// converted into a fail-safe denial.
-    BatchPanicRecovered,
+    /// A panicking wire decision (a `Decide2` or one `DecideBatch2` item)
+    /// was caught and converted into a fail-safe denial.
+    DecidePanicRecovered,
     /// A wire frame was sent (daemon or client side).
     NetFrameTx,
     /// A wire frame was received.
@@ -197,7 +197,7 @@ impl Counter {
         Counter::SnapshotRebuild,
         Counter::WatermarkAdvance,
         Counter::ClockRegression,
-        Counter::BatchPanicRecovered,
+        Counter::DecidePanicRecovered,
         Counter::NetFrameTx,
         Counter::NetFrameRx,
         Counter::NetBytesTx,
@@ -265,7 +265,7 @@ impl Counter {
             Counter::SnapshotRebuild => "snapshot.rebuild",
             Counter::WatermarkAdvance => "proof.watermark-advance",
             Counter::ClockRegression => "clock.regression",
-            Counter::BatchPanicRecovered => "batch.panic-recovered",
+            Counter::DecidePanicRecovered => "decide.panic-recovered",
             Counter::NetFrameTx => "net.frame-tx",
             Counter::NetFrameRx => "net.frame-rx",
             Counter::NetBytesTx => "net.bytes-tx",
@@ -301,8 +301,6 @@ impl Counter {
 struct Stripe {
     counters: [AtomicU64; COUNTERS],
     decide_ns: [AtomicU64; BUCKETS],
-    batch_ns: [AtomicU64; BUCKETS],
-    batch_size: [AtomicU64; BUCKETS],
     handoff_ns: [AtomicU64; BUCKETS],
 }
 
@@ -314,8 +312,6 @@ impl Stripe {
     const NEW: Stripe = Stripe {
         counters: [ZERO; COUNTERS],
         decide_ns: [ZERO; BUCKETS],
-        batch_ns: [ZERO; BUCKETS],
-        batch_size: [ZERO; BUCKETS],
         handoff_ns: [ZERO; BUCKETS],
     };
 }
@@ -478,25 +474,6 @@ pub fn observe_decide(start: Option<Instant>) {
     }
 }
 
-/// Start timing a `decide_batch` call (every batch is timed — batches are
-/// rare relative to decisions). Pass the result to [`observe_batch`].
-#[inline]
-pub fn batch_timer() -> Option<Instant> {
-    enabled().then(Instant::now)
-}
-
-/// Record a `decide_batch` latency and its batch size.
-#[inline]
-pub fn observe_batch(start: Option<Instant>, batch_len: usize) {
-    if let Some(t0) = start {
-        let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let idx = stripe_idx();
-        let s = &REGISTRY[idx];
-        bump(idx, &s.batch_ns[bucket(ns)]);
-        bump(idx, &s.batch_size[bucket(batch_len.max(1) as u64)]);
-    }
-}
-
 /// Start timing a custody handoff (every handoff is timed — handoffs are
 /// rare, one per migration). Pass the result to [`observe_handoff`].
 #[inline]
@@ -525,10 +502,6 @@ pub struct MetricsSnapshot {
     pub counters: [u64; COUNTERS],
     /// Sampled `decide` latency histogram (nanoseconds, log₂ buckets).
     pub decide_ns: [u64; BUCKETS],
-    /// `decide_batch` latency histogram (nanoseconds, log₂ buckets).
-    pub batch_ns: [u64; BUCKETS],
-    /// `decide_batch` size histogram (requests per batch, log₂ buckets).
-    pub batch_size: [u64; BUCKETS],
     /// Custody-handoff latency histogram (nanoseconds, log₂ buckets).
     pub handoff_ns: [u64; BUCKETS],
 }
@@ -540,8 +513,6 @@ impl Default for MetricsSnapshot {
             telemetry_enabled: false,
             counters: [0; COUNTERS],
             decide_ns: [0; BUCKETS],
-            batch_ns: [0; BUCKETS],
-            batch_size: [0; BUCKETS],
             handoff_ns: [0; BUCKETS],
         }
     }
@@ -573,8 +544,6 @@ impl MetricsSnapshot {
         }
         for i in 0..BUCKETS {
             d.decide_ns[i] = d.decide_ns[i].saturating_sub(earlier.decide_ns[i]);
-            d.batch_ns[i] = d.batch_ns[i].saturating_sub(earlier.batch_ns[i]);
-            d.batch_size[i] = d.batch_size[i].saturating_sub(earlier.batch_size[i]);
             d.handoff_ns[i] = d.handoff_ns[i].saturating_sub(earlier.handoff_ns[i]);
         }
         d
@@ -594,8 +563,6 @@ impl MetricsSnapshot {
         w.close();
         for (name, buckets) in [
             ("decide_latency_ns", &self.decide_ns),
-            ("batch_latency_ns", &self.batch_ns),
-            ("batch_size", &self.batch_size),
             ("handoff_latency_ns", &self.handoff_ns),
         ] {
             w.open_object(name);
@@ -620,8 +587,6 @@ pub fn snapshot() -> MetricsSnapshot {
         }
         for i in 0..BUCKETS {
             snap.decide_ns[i] += s.decide_ns[i].load(Ordering::Relaxed);
-            snap.batch_ns[i] += s.batch_ns[i].load(Ordering::Relaxed);
-            snap.batch_size[i] += s.batch_size[i].load(Ordering::Relaxed);
             snap.handoff_ns[i] += s.handoff_ns[i].load(Ordering::Relaxed);
         }
     }
@@ -638,8 +603,6 @@ pub fn reset() {
         }
         for i in 0..BUCKETS {
             s.decide_ns[i].store(0, Ordering::Relaxed);
-            s.batch_ns[i].store(0, Ordering::Relaxed);
-            s.batch_size[i].store(0, Ordering::Relaxed);
             s.handoff_ns[i].store(0, Ordering::Relaxed);
         }
     }
@@ -682,8 +645,6 @@ mod tests {
             "sample_every",
             "counters",
             "decide_latency_ns",
-            "batch_latency_ns",
-            "batch_size",
             "handoff_latency_ns",
             "log2_buckets",
         ] {
@@ -715,21 +676,20 @@ mod tests {
         assert!(!base.telemetry_enabled);
         count(Counter::CacheHit);
         assert!(decide_timer().is_none());
-        assert!(batch_timer().is_none());
+        assert!(handoff_timer().is_none());
         observe_decide(None);
-        observe_batch(None, 100);
+        observe_handoff(None);
         let d = snapshot().diff(&base);
         assert_eq!(d.counter(Counter::CacheHit), 0);
         set_telemetry(true);
 
-        // Histograms: a timed batch lands one sample in each batch histogram.
+        // Histograms: a timed handoff lands one sample in its histogram.
         let base = snapshot();
-        let t0 = batch_timer();
+        let t0 = handoff_timer();
         assert!(t0.is_some());
-        observe_batch(t0, 5);
+        observe_handoff(t0);
         let d = snapshot().diff(&base);
-        assert_eq!(d.batch_ns.iter().sum::<u64>(), 1);
-        assert_eq!(d.batch_size[bucket(5)], 1);
+        assert_eq!(d.handoff_ns.iter().sum::<u64>(), 1);
 
         // decide_timer samples 1 in SAMPLE_EVERY per thread.
         let base = snapshot();

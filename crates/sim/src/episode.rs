@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use stacl_coalition::ledger::{fnv1a, Ledger};
 use stacl_coalition::{CoalitionEnv, DecisionKind, ProofStore, Verdict};
-use stacl_naplet::guard::{BatchRequest, CoordinatedGuard, GuardRequest};
+use stacl_naplet::guard::{CoordinatedGuard, GuardRequest};
 use stacl_rbac::policy::render_policy;
 use stacl_rbac::{AccessPattern, ExtendedRbac, Permission, RbacModel};
 use stacl_sral::{Access, Program};
@@ -179,36 +179,7 @@ pub fn build_guard(sc: &Scenario) -> CoordinatedGuard {
 
 /// Run one episode, cross-checking every decision against the oracle.
 pub fn run_episode(sc: &Scenario, bug: Option<OracleBug>) -> Episode {
-    run_episode_with(sc, bug, false)
-}
-
-/// One pending access decision within a run of consecutive `Access`
-/// events over pairwise-distinct objects.
-struct PendingAccess<'a> {
-    /// Index of the event in [`Scenario::events`].
-    step: usize,
-    obj: usize,
-    access: &'a Access,
-    time: f64,
-    remaining: &'a [Access],
-    /// The declared remaining program — `None` when topology already
-    /// denied the access (the guard is never consulted then).
-    program: Option<Program>,
-}
-
-/// Run one episode, optionally fanning independent access decisions
-/// through [`CoordinatedGuard::decide_batch`].
-///
-/// With `batched`, maximal runs of consecutive `Access` events over
-/// pairwise-distinct objects are decided as one parallel batch; the
-/// oracle cross-check, logging and proof issuance still happen
-/// sequentially in event order afterwards, so the episode log is
-/// **byte-identical** to the sequential driver's for every seed.
-/// Scenarios containing any team-scoped permission degrade to batch
-/// size 1 (companion histories make cross-object decisions order-
-/// dependent).
-pub fn run_episode_with(sc: &Scenario, bug: Option<OracleBug>, batched: bool) -> Episode {
-    run_episode_opts(sc, bug, batched, None)
+    run_episode_opts(sc, bug, None)
 }
 
 /// How often the episode drivers journal a verdict into the audit
@@ -216,7 +187,7 @@ pub fn run_episode_with(sc: &Scenario, bug: Option<OracleBug>, batched: bool) ->
 /// every transport so ledgers byte-compare across them.
 pub const LEDGER_SAMPLE: usize = 8;
 
-/// [`run_episode_with`], optionally journaling policy changes and
+/// [`run_episode`], optionally journaling policy changes and
 /// sampled verdicts into an append-only audit [`Ledger`]. The ledger is
 /// transport-independent: the networked driver
 /// ([`crate::net_driver::run_episode_net_opts`]) produces a byte-identical
@@ -224,7 +195,6 @@ pub const LEDGER_SAMPLE: usize = 8;
 pub fn run_episode_opts(
     sc: &Scenario,
     bug: Option<OracleBug>,
-    batched: bool,
     mut ledger: Option<&mut Ledger>,
 ) -> Episode {
     let guard = build_guard(sc);
@@ -247,9 +217,6 @@ pub fn run_episode_opts(
     // and logs are unaffected — they are table-id independent).
     guard.with_rbac(|r| r.saturate_alphabet(&mut table));
     let mut oracle = ReferenceOracle::new(bug);
-    // Batching across objects is only sound when no permission reads
-    // companions' histories.
-    let can_batch = batched && !sc.perms.iter().any(|p| p.team_scope);
 
     // Each object's future accesses in schedule order; `cursor[i]` marks
     // how many it has already attempted (granted or not — a denied access
@@ -279,9 +246,8 @@ pub fn run_episode_opts(
     if let Some(p) = sc.profile {
         let _ = writeln!(log, "profile {}", p.name());
     }
-    let mut step = 0usize;
-    'events: while step < sc.events.len() {
-        match &sc.events[step] {
+    for (step, event) in sc.events.iter().enumerate() {
+        match event {
             Event::Arrival {
                 obj,
                 server,
@@ -296,13 +262,11 @@ pub fn run_episode_opts(
                     oracle.note_arrival(*obj, *time);
                     let _ = writeln!(log, "[{time}] arrive {name} @ {server}");
                 }
-                step += 1;
             }
             Event::ServerDeath { server, time } => {
                 dead.insert(server.clone());
                 oracle.note_death(server);
                 let _ = writeln!(log, "[{time}] server-death {server}");
-                step += 1;
             }
             Event::PolicyFlip { rev, time } => {
                 // The in-process half of the two-phase rollout: build the
@@ -321,150 +285,74 @@ pub fn run_episode_opts(
                     .expect("prepared epoch activates");
                 oracle.note_flip(*rev);
                 let _ = writeln!(log, "[{time}] policy-flip epoch={rev}");
-                step += 1;
             }
-            Event::Access { .. } => {
-                // Collect the maximal run of consecutive Access events
-                // over pairwise-distinct objects (just this event when
-                // not batching).
-                let mut run_end = step + 1;
-                if can_batch {
-                    let mut seen = BTreeSet::new();
-                    if let Event::Access { obj, .. } = &sc.events[step] {
-                        seen.insert(*obj);
-                    }
-                    while run_end < sc.events.len() {
-                        match &sc.events[run_end] {
-                            Event::Access { obj, .. } if seen.insert(*obj) => run_end += 1,
-                            _ => break,
-                        }
-                    }
-                }
-
-                // Materialise the run's items in event order. Topology is
-                // resolved here (it is constant within the run: server
-                // deaths break it).
-                let mut items: Vec<PendingAccess<'_>> = Vec::with_capacity(run_end - step);
-                for i in step..run_end {
-                    let Event::Access { obj, access, time } = &sc.events[i] else {
-                        unreachable!("run contains only Access events");
-                    };
-                    let remaining = &per_object[*obj][cursor[*obj]..];
-                    cursor[*obj] += 1;
-                    let reachable = !dead.contains(&*access.server) && env.resolve(access).is_ok();
-                    let program = reachable
-                        .then(|| Program::seq_all(remaining.iter().cloned().map(Program::Access)));
-                    items.push(PendingAccess {
-                        step: i,
-                        obj: *obj,
+            Event::Access { obj, access, time } => {
+                let name = &sc.objects[*obj].name;
+                let remaining = &per_object[*obj][cursor[*obj]..];
+                cursor[*obj] += 1;
+                // Topology is resolved first: the guard is never
+                // consulted for an unreachable target.
+                let reachable = !dead.contains(&*access.server) && env.resolve(access).is_ok();
+                let system_v = if reachable {
+                    let program = Program::seq_all(remaining.iter().cloned().map(Program::Access));
+                    let req = GuardRequest {
+                        object: name,
                         access,
-                        time: *time,
-                        remaining,
-                        program,
-                    });
-                }
-
-                // The guard pass: one parallel batch over the run, or the
-                // plain sequential decide. Proofs are issued below, in
-                // event order, exactly as the sequential driver does.
-                let mut guard_vs: Vec<Option<Verdict>> = items.iter().map(|_| None).collect();
-                if can_batch {
-                    let mut reqs = Vec::new();
-                    let mut slots = Vec::new();
-                    for (k, it) in items.iter().enumerate() {
-                        if let Some(program) = &it.program {
-                            reqs.push(BatchRequest {
-                                object: &sc.objects[it.obj].name,
-                                access: it.access,
-                                remaining: program,
-                                time: TimePoint::new(it.time),
-                            });
-                            slots.push(k);
-                        }
-                    }
-                    for (k, v) in slots
-                        .into_iter()
-                        .zip(guard.decide_batch(&reqs, &proofs, false))
-                    {
-                        guard_vs[k] = Some(v);
-                    }
-                } else {
-                    for (k, it) in items.iter().enumerate() {
-                        if let Some(program) = &it.program {
-                            let req = GuardRequest {
-                                object: &sc.objects[it.obj].name,
-                                access: it.access,
-                                remaining: program,
-                                time: TimePoint::new(it.time),
-                            };
-                            guard_vs[k] = Some(guard.decide(&req, &proofs, &mut table));
-                        }
-                    }
-                }
-
-                // Oracle cross-check, logging and proof issuance, in
-                // event order.
-                for (k, it) in items.iter().enumerate() {
-                    let name = &sc.objects[it.obj].name;
-                    let time = it.time;
-                    let access = it.access;
-                    let oracle_v = oracle.decide(sc, it.obj, access, it.remaining, time);
-                    let system_v: Verdict = match guard_vs[k].take() {
-                        Some(v) => v,
-                        None => {
-                            // Topology denial happens before the guard runs,
-                            // so record the verdict here to keep the
-                            // telemetry invariant (verdict counters sum to
-                            // total decisions) exact.
-                            stacl_obs::count(stacl_obs::Counter::VerdictDeniedUnknownTarget);
-                            Verdict::denied(
-                                DecisionKind::DeniedUnknownTarget,
-                                format!("server {} is unreachable", access.server),
-                            )
-                        }
+                        remaining: &program,
+                        time: TimePoint::new(*time),
                     };
+                    guard.decide(&req, &proofs, &mut table)
+                } else {
+                    // Record the topology denial's verdict here to keep
+                    // the telemetry invariant (verdict counters sum to
+                    // total decisions) exact.
+                    stacl_obs::count(stacl_obs::Counter::VerdictDeniedUnknownTarget);
+                    Verdict::denied(
+                        DecisionKind::DeniedUnknownTarget,
+                        format!("server {} is unreachable", access.server),
+                    )
+                };
+                let oracle_v = oracle.decide(sc, *obj, access, remaining, *time);
 
-                    decisions += 1;
-                    *histogram.entry(system_v.kind.label()).or_insert(0) += 1;
-                    if decisions % LEDGER_SAMPLE == 1 {
-                        if let Some(l) = ledger.as_deref_mut() {
-                            l.record_verdict(time, name, &access.to_string(), &system_v);
-                        }
-                    }
-                    let _ = writeln!(
-                        log,
-                        "[{time}] access {name} {access} -> guard={} oracle={}",
-                        system_v.kind.label(),
-                        oracle_v.kind.label()
-                    );
-
-                    if system_v.kind != oracle_v.kind {
-                        divergence = Some(Divergence {
-                            step: it.step,
-                            time,
-                            object: name.clone(),
-                            access: access.clone(),
-                            guard: system_v.kind,
-                            oracle: oracle_v.kind,
-                        });
-                        let _ = writeln!(log, "DIVERGENCE at step {}", it.step);
-                        break 'events;
-                    }
-
-                    if system_v.is_granted() {
-                        // Proofs are stamped with the local server clock —
-                        // skew shifts timestamps but not decisions.
-                        let skew = sc
-                            .servers
-                            .iter()
-                            .position(|s| **s == *access.server)
-                            .map(|i| sc.skews[i])
-                            .unwrap_or(0.0);
-                        proofs.issue(name, access.clone(), TimePoint::new(time + skew));
-                        oracle.note_grant(it.obj, access.clone());
+                decisions += 1;
+                *histogram.entry(system_v.kind.label()).or_insert(0) += 1;
+                if decisions % LEDGER_SAMPLE == 1 {
+                    if let Some(l) = ledger.as_deref_mut() {
+                        l.record_verdict(*time, name, &access.to_string(), &system_v);
                     }
                 }
-                step = run_end;
+                let _ = writeln!(
+                    log,
+                    "[{time}] access {name} {access} -> guard={} oracle={}",
+                    system_v.kind.label(),
+                    oracle_v.kind.label()
+                );
+
+                if system_v.kind != oracle_v.kind {
+                    divergence = Some(Divergence {
+                        step,
+                        time: *time,
+                        object: name.clone(),
+                        access: access.clone(),
+                        guard: system_v.kind,
+                        oracle: oracle_v.kind,
+                    });
+                    let _ = writeln!(log, "DIVERGENCE at step {step}");
+                    break;
+                }
+
+                if system_v.is_granted() {
+                    // Proofs are stamped with the local server clock —
+                    // skew shifts timestamps but not decisions.
+                    let skew = sc
+                        .servers
+                        .iter()
+                        .position(|s| **s == *access.server)
+                        .map(|i| sc.skews[i])
+                        .unwrap_or(0.0);
+                    proofs.issue(name, access.clone(), TimePoint::new(time + skew));
+                    oracle.note_grant(*obj, access.clone());
+                }
             }
         }
     }
@@ -481,11 +369,4 @@ pub fn run_episode_opts(
 /// Generate the scenario for `seed` and run it.
 pub fn episode_for_seed(seed: u64, bug: Option<OracleBug>) -> Episode {
     run_episode(&Scenario::generate(seed), bug)
-}
-
-/// Generate the scenario for `seed` and run it through the batched
-/// parallel driver. The log is byte-identical to
-/// [`episode_for_seed`]'s.
-pub fn episode_for_seed_batched(seed: u64, bug: Option<OracleBug>) -> Episode {
-    run_episode_with(&Scenario::generate(seed), bug, true)
 }

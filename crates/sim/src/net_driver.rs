@@ -4,7 +4,7 @@
 //! coalition of `stacl-net` daemons on loopback — one
 //! [`stacl_naplet::guard::CoordinatedGuard`] shard per daemon, custody
 //! enforcement on — and produces an [`Episode`] whose log is
-//! **byte-identical** to [`crate::run_episode_with`]'s for every seed.
+//! **byte-identical** to [`crate::run_episode`]'s for every seed.
 //!
 //! How the distributed replay preserves identity:
 //!
@@ -187,7 +187,7 @@ fn run_episode_net_driver(
         clients.push(c);
     }
 
-    // Driver-side topology and oracle state — mirrors run_episode_with.
+    // Driver-side topology and oracle state — mirrors run_episode_opts.
     let mut env = CoalitionEnv::new();
     for s in &sc.servers {
         env.add_server(s);

@@ -112,7 +112,7 @@ pub struct ObjectSpec {
 /// the full replacement permission set and role→permission assignment.
 /// Everything else — names, roles, objects, classes, inheritance,
 /// validity attributes — is fixed across revisions, so budget keys,
-/// enrollments and batching soundness are revision-invariant.
+/// enrollments and team scoping are revision-invariant.
 #[derive(Clone, Debug)]
 pub struct PolicyRev {
     /// Replacement permissions (same names and count as
@@ -497,7 +497,7 @@ impl Scenario {
             // Each revision perturbs the previous one: grant patterns and
             // spatial constraints move; names, validity attributes,
             // team scope and class bindings are revision-invariant (budget
-            // keys survive flips, batching soundness is schedule-global).
+            // keys survive flips, team scoping is schedule-global).
             let mut perms = sc.perms_at(k - 1).to_vec();
             for p in &mut perms {
                 if r.gen_bool(0.5) {

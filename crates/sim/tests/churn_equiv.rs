@@ -1,8 +1,7 @@
 //! Epoch-churn differential validation: episodes with mid-episode policy
 //! rollouts must (a) never diverge from the epoch-aware oracle, (b) stay
-//! byte-identical across the sequential, batched and wire transports,
-//! and (c) produce byte-identical, verifiable audit ledgers on every
-//! transport.
+//! byte-identical across the in-process and wire transports, and (c)
+//! produce byte-identical, verifiable audit ledgers on every transport.
 
 use stacl_coalition::Ledger;
 use stacl_sim::{run_episode_net_opts, run_episode_opts, Scenario};
@@ -13,7 +12,7 @@ const FLIPS: usize = 4;
 fn churn_episodes_agree_with_the_oracle() {
     for seed in 0..32u64 {
         let sc = Scenario::generate_churn(seed, FLIPS);
-        let ep = run_episode_opts(&sc, None, false, None);
+        let ep = run_episode_opts(&sc, None, None);
         assert!(
             ep.divergence.is_none(),
             "seed {seed} diverged under churn: {:?}\n{}",
@@ -28,25 +27,12 @@ fn churn_episodes_agree_with_the_oracle() {
 }
 
 #[test]
-fn batched_churn_is_byte_identical_to_sequential() {
-    for seed in 0..16u64 {
-        let sc = Scenario::generate_churn(seed, FLIPS);
-        let seq = run_episode_opts(&sc, None, false, None);
-        let bat = run_episode_opts(&sc, None, true, None);
-        assert_eq!(seq.log, bat.log, "seed {seed}");
-        assert_eq!(seq.histogram, bat.histogram, "seed {seed}");
-    }
-}
-
-#[test]
 fn churn_ledgers_verify_and_match_across_drivers() {
     for seed in 0..8u64 {
         let sc = Scenario::generate_churn(seed, FLIPS);
         let mut seq_ledger = Ledger::new();
-        let seq = run_episode_opts(&sc, None, false, Some(&mut seq_ledger));
+        let seq = run_episode_opts(&sc, None, Some(&mut seq_ledger));
         assert!(seq.divergence.is_none(), "seed {seed}");
-        let mut bat_ledger = Ledger::new();
-        run_episode_opts(&sc, None, true, Some(&mut bat_ledger));
 
         // Boot policy + one entry per flip, plus sampled verdicts.
         assert!(
@@ -56,11 +42,6 @@ fn churn_ledgers_verify_and_match_across_drivers() {
         seq_ledger
             .verify()
             .unwrap_or_else(|e| panic!("seed {seed}: ledger verify failed: {e}"));
-        assert_eq!(
-            seq_ledger.render(),
-            bat_ledger.render(),
-            "seed {seed}: batched driver must journal identically"
-        );
 
         // Round-trip through the textual chain format.
         let reparsed = Ledger::parse(&seq_ledger.render())
@@ -92,7 +73,7 @@ fn net_churn_matches_in_process_seeds_0_64() {
 fn assert_churn_identical(seed: u64, daemons: usize) {
     let sc = Scenario::generate_churn(seed, FLIPS);
     let mut local_ledger = Ledger::new();
-    let local = run_episode_opts(&sc, None, false, Some(&mut local_ledger));
+    let local = run_episode_opts(&sc, None, Some(&mut local_ledger));
     let mut net_ledger = Ledger::new();
     let net = run_episode_net_opts(&sc, None, daemons, Some(&mut net_ledger))
         .unwrap_or_else(|e| panic!("seed {seed}: net transport failed: {e}"));

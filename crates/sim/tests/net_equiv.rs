@@ -10,7 +10,7 @@ use stacl_sim::{run_episode_net_opts, run_episode_opts, Scenario};
 fn assert_identical(seed: u64, daemons: usize) {
     let sc = Scenario::generate(seed);
     let mut local_ledger = Ledger::new();
-    let local = run_episode_opts(&sc, None, false, Some(&mut local_ledger));
+    let local = run_episode_opts(&sc, None, Some(&mut local_ledger));
     let mut net_ledger = Ledger::new();
     let net = run_episode_net_opts(&sc, None, daemons, Some(&mut net_ledger))
         .unwrap_or_else(|e| panic!("seed {seed}: net transport failed: {e}"));

@@ -6,8 +6,7 @@
 //! either constraint kind surfaces as a divergence.
 
 use stacl_sim::{
-    repro_profile, run_episode, run_episode_net, run_episode_with, shrink, OracleBug, Profile,
-    Scenario, SweepReport,
+    repro_profile, run_episode, run_episode_net, shrink, OracleBug, Profile, Scenario, SweepReport,
 };
 
 /// Fast per-profile window for the tier-1 (non-ignored) tier.
@@ -116,26 +115,6 @@ fn episode_logs_are_self_describing_and_names_round_trip() {
     // every pre-profile seed.
     let ep = run_episode(&Scenario::generate(0), None);
     assert!(!ep.log.starts_with("profile "), "unexpected header");
-}
-
-/// The batched parallel driver must not change a byte of any
-/// profile-generated episode.
-#[test]
-fn batched_driver_is_byte_identical_on_profiles() {
-    for profile in Profile::ALL {
-        for seed in FAST_SEEDS {
-            let sc = Scenario::generate_profile(seed, profile);
-            let seq = run_episode(&sc, None);
-            let bat = run_episode_with(&sc, None, true);
-            assert_eq!(seq.log, bat.log, "{} seed {seed}", profile.name());
-            assert_eq!(
-                seq.histogram,
-                bat.histogram,
-                "{} seed {seed}",
-                profile.name()
-            );
-        }
-    }
 }
 
 /// Wire replay of a profile episode (2 loopback daemons) is

@@ -137,8 +137,8 @@ type KeyBucket = Vec<((Constraint, u64), CacheEntry)>;
 /// versions imply identical id↔access mappings — which is exactly the
 /// condition under which a compiled automaton (whose symbol indices are
 /// table ids) can be shared. Alphabet *length* is not enough once one
-/// cache serves several tables (e.g. `decide_batch` workers each bring
-/// their own table): two tables of equal length can map the same id to
+/// cache serves several tables (e.g. each daemon connection brings its
+/// own table): two tables of equal length can map the same id to
 /// different accesses. Once the vocabulary saturates the version is
 /// stable and every lookup hits.
 ///
@@ -673,8 +673,8 @@ mod tests {
         assert!(v.witness.is_none());
     }
 
-    /// Regression: one cache serving several tables (`decide_batch`
-    /// workers each bring a fresh table) must not reuse a compiled
+    /// Regression: one cache serving several tables (daemon connections
+    /// each bring their own table) must not reuse a compiled
     /// automaton across tables that merely share a *length* — the same
     /// id can denote different accesses in each. Keying by table
     /// version makes the second query recompile and judge correctly.
