@@ -11,7 +11,6 @@
 use stacl_bench::criterion::{BenchmarkId, Criterion};
 use stacl_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
-use std::time::Duration;
 
 use stacl::integrity::ModuleGraph;
 use stacl::prelude::*;
@@ -50,9 +49,6 @@ fn coalition_for(g: &ModuleGraph) -> CoalitionEnv {
 /// Full audit runs: approval reuse vs per-access re-checking.
 fn bench_audit_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("E10/audit-gate-variants");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for n in [16usize, 48] {
         let g = ModuleGraph::generate_layered(n, 4, 4, 3, 31);
         for (label, reuse) in [("reuse", true), ("recheck", false)] {
@@ -79,9 +75,6 @@ fn bench_audit_variants(c: &mut Criterion) {
 /// against the same policy (the gate's actual call pattern).
 fn bench_checker_caching(c: &mut Criterion) {
     let mut group = c.benchmark_group("E10/checker-caching");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [8usize, 32, 128] {
         let g = ModuleGraph::generate_layered(k, 4, 4, 3, 32);
         let constraint: Constraint = g.dependency_constraint();

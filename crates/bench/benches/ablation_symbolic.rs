@@ -10,7 +10,6 @@
 use stacl_bench::criterion::{BenchmarkId, Criterion};
 use stacl_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
-use std::time::Duration;
 
 use stacl::prelude::*;
 use stacl::srac::check::{check_program, Semantics};
@@ -37,9 +36,6 @@ fn the_constraint() -> Constraint {
 
 fn bench_symbolic(c: &mut Criterion) {
     let mut group = c.benchmark_group("E9/symbolic-check");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [2usize, 4, 6, 8] {
         let p = par_chains(k);
         let cons = the_constraint();
@@ -55,9 +51,6 @@ fn bench_symbolic(c: &mut Criterion) {
 
 fn bench_enumeration(c: &mut Criterion) {
     let mut group = c.benchmark_group("E9/enumerate-then-check");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [2usize, 4, 6, 8] {
         let p = par_chains(k);
         let cons = the_constraint();
@@ -87,9 +80,6 @@ fn bench_enumeration(c: &mut Criterion) {
 /// infinite; the symbolic checker decides it anyway.
 fn bench_symbolic_on_infinite_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("E9/symbolic-on-loops");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [1usize, 4, 16] {
         let body = b::seq((0..k).map(|i| b::access("a", format!("r{i}"), "s1")));
         let p = b::while_do(

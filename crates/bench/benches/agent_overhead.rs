@@ -6,7 +6,6 @@
 use stacl_bench::criterion::{BenchmarkId, Criterion};
 use stacl_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
-use std::time::Duration;
 
 use stacl::baselines::trbac::RoleSchedule;
 use stacl::prelude::*;
@@ -65,9 +64,6 @@ fn guards(cap: usize) -> Vec<(&'static str, GuardMaker)> {
 /// End-to-end: one agent touring `s` servers under each guard.
 fn bench_tour_by_servers(c: &mut Criterion) {
     let mut group = c.benchmark_group("E4/tour-by-servers");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for s in [2usize, 8, 32] {
         let vocab = Vocab::new(1, 1, s);
         for (label, mk_guard) in guards(10 * s) {
@@ -92,9 +88,6 @@ fn bench_tour_by_servers(c: &mut Criterion) {
 /// Many agents under the permissive guard: substrate scalability.
 fn bench_agents_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("E4/agents-scaling(substrate)");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for a in [1usize, 4, 16, 64] {
         let vocab = Vocab::new(1, 1, 8);
         group.bench_with_input(BenchmarkId::from_parameter(a), &a, |bch, _| {
@@ -121,9 +114,6 @@ fn bench_agents_scaling(c: &mut Criterion) {
 fn bench_decision_latency_vs_history(c: &mut Criterion) {
     use stacl::naplet::guard::{GuardRequest, SecurityGuard as _};
     let mut group = c.benchmark_group("E4/decision-latency-vs-history");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for h in [0usize, 10, 100, 1000] {
         let mut guard = CoordinatedGuard::new(ExtendedRbac::new(licensee_model(
             "agent0",

@@ -5,7 +5,6 @@
 use stacl_bench::criterion::{BenchmarkId, Criterion};
 use stacl_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
-use std::time::Duration;
 
 use stacl::prelude::*;
 use stacl::srac::check::{check_residual, Semantics};
@@ -20,9 +19,6 @@ fn history_of(len: usize, table: &mut AccessTable) -> Trace {
 
 fn bench_history_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("E6/history-scaling(cap=1000)");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     let constraint = Constraint::at_most(1000, Selector::any().with_resources(["rsw"]));
     for h in [0usize, 10, 100, 1_000, 10_000] {
         let mut table = AccessTable::new();
@@ -47,9 +43,6 @@ fn bench_history_scaling(c: &mut Criterion) {
 
 fn bench_cap_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("E6/cap-scaling(history=50)");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for cap in [5usize, 50, 500, 5_000] {
         let constraint = Constraint::at_most(cap, Selector::any().with_resources(["rsw"]));
         let mut table = AccessTable::new();
@@ -75,9 +68,6 @@ fn bench_cap_scaling(c: &mut Criterion) {
 /// the cap across sites, then attempts one more. Measures the full run.
 fn bench_overuse_scenario(c: &mut Criterion) {
     let mut group = c.benchmark_group("E6/overuse-run");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for cap in [5usize, 25, 100] {
         let mut env = CoalitionEnv::new();
         env.add_resource("s1", "rsw", ["exec"]);

@@ -5,7 +5,6 @@
 use stacl_bench::criterion::{BenchmarkId, Criterion};
 use stacl_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
-use std::time::Duration;
 
 use stacl::prelude::*;
 use stacl::trace::abstraction::{traces, AbstractionConfig};
@@ -25,9 +24,6 @@ fn model_of_size(size: usize, seed: u64) -> (Regex, AccessTable) {
 
 fn bench_synthesis(c: &mut Criterion) {
     let mut group = c.benchmark_group("E2/synthesize");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for size in [16usize, 64, 256, 1024] {
         let (re, table) = model_of_size(size, size as u64);
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |bch, _| {
@@ -39,9 +35,6 @@ fn bench_synthesis(c: &mut Criterion) {
 
 fn bench_roundtrip_verification(c: &mut Criterion) {
     let mut group = c.benchmark_group("E2/roundtrip-equivalence");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for size in [16usize, 64, 256] {
         let (re, table) = model_of_size(size, 1000 + size as u64);
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |bch, _| {
@@ -59,9 +52,6 @@ fn bench_roundtrip_verification(c: &mut Criterion) {
 
 fn bench_dfa_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("E2/regex-to-min-dfa");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     // Shuffle-heavy random models make subset construction explode past
     // ~256 nodes (the E8-measured phenomenon); cap the sweep there.
     for size in [16usize, 64, 256] {

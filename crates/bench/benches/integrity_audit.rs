@@ -6,7 +6,6 @@
 use stacl_bench::criterion::{BenchmarkId, Criterion};
 use stacl_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
-use std::time::Duration;
 
 use stacl::integrity::{evaluate_audit, ModuleGraph};
 use stacl::prelude::*;
@@ -38,9 +37,6 @@ fn audit_guard(g: &ModuleGraph) -> CoordinatedGuard {
 
 fn bench_constraint_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("E5/dependency-constraint-build");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for n in [8usize, 64, 512, 4096] {
         let g = ModuleGraph::generate_layered(n, 8, 5, 3, 21);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bch, _| {
@@ -52,9 +48,6 @@ fn bench_constraint_construction(c: &mut Criterion) {
 
 fn bench_program_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("E5/audit-program-build");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for n in [8usize, 64, 512, 4096] {
         let g = ModuleGraph::generate_layered(n, 8, 5, 3, 22);
         group.bench_with_input(BenchmarkId::new("sequential", n), &n, |bch, _| {
@@ -69,9 +62,6 @@ fn bench_program_generation(c: &mut Criterion) {
 
 fn bench_full_audit_run(c: &mut Criterion) {
     let mut group = c.benchmark_group("E5/full-audit-run");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for (n, servers) in [(8usize, 2usize), (32, 4), (128, 8)] {
         let g = ModuleGraph::generate_layered(n, servers, 4, 3, 23);
         let manifest = g.manifest();
@@ -117,9 +107,6 @@ fn bench_full_audit_run(c: &mut Criterion) {
 
 fn bench_classification(c: &mut Criterion) {
     let mut group = c.benchmark_group("E5/post-run-classification");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for n in [32usize, 256, 2048] {
         let mut g = ModuleGraph::generate_layered(n, 8, 5, 3, 24);
         let manifest = g.manifest();

@@ -8,7 +8,6 @@
 use stacl_bench::criterion::{BenchmarkId, Criterion};
 use stacl_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
-use std::time::Duration;
 
 use stacl::prelude::*;
 use stacl::srac::check::{check_program, Semantics};
@@ -18,9 +17,6 @@ fn bench_m_scaling(c: &mut Criterion) {
     let vocab = Vocab::new(3, 6, 6);
     let constraint = conjunctive_policy(8, &vocab, 11);
     let mut group = c.benchmark_group("E1/m-scaling(n=8-conjuncts)");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for m in [16usize, 32, 64, 128, 256, 512] {
         let program = random_control_program(m, &vocab, 42 + m as u64);
         group.bench_with_input(BenchmarkId::from_parameter(m), &m, |bch, _| {
@@ -42,9 +38,6 @@ fn bench_n_scaling(c: &mut Criterion) {
     let vocab = Vocab::new(3, 6, 6);
     let program = random_control_program(96, &vocab, 7);
     let mut group = c.benchmark_group("E1/n-scaling(m~96)");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for n in [2usize, 4, 8, 16, 32, 64] {
         let constraint = conjunctive_policy(n, &vocab, 13 + n as u64);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bch, _| {
@@ -67,9 +60,6 @@ fn bench_semantics_modes(c: &mut Criterion) {
     let program = random_control_program(128, &vocab, 3);
     let constraint = conjunctive_policy(8, &vocab, 5);
     let mut group = c.benchmark_group("E1/semantics");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for (label, sem) in [("forall", Semantics::ForAll), ("exists", Semantics::Exists)] {
         group.bench_function(label, |bch| {
             bch.iter(|| {

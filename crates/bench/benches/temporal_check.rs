@@ -6,7 +6,6 @@
 use stacl_bench::criterion::{BenchmarkId, Criterion};
 use stacl_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
-use std::time::Duration;
 
 use stacl::prelude::*;
 use stacl::temporal::dc::{eval, DurCmp, Formula, Interpretation, StateExpr};
@@ -32,9 +31,6 @@ fn timeline_with(k: usize, scheme: BaseTimeScheme) -> PermissionTimeline {
 
 fn bench_validity_derivation(c: &mut Criterion) {
     let mut group = c.benchmark_group("E3/valid-fn-derivation");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [10usize, 100, 1_000, 10_000] {
         for (label, scheme) in [
             ("whole-lifetime", BaseTimeScheme::WholeLifetime),
@@ -51,9 +47,6 @@ fn bench_validity_derivation(c: &mut Criterion) {
 
 fn bench_validity_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("E3/is-valid-at");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [10usize, 100, 1_000, 10_000] {
         let tl = timeline_with(k, BaseTimeScheme::WholeLifetime);
         let probe = TimePoint::new(k as f64 * 0.75);
@@ -66,9 +59,6 @@ fn bench_validity_query(c: &mut Criterion) {
 
 fn bench_integral(c: &mut Criterion) {
     let mut group = c.benchmark_group("E3/integral");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [10usize, 100, 1_000, 10_000, 100_000] {
         let changes: Vec<TimePoint> = (0..2 * k).map(|i| TimePoint::new(i as f64)).collect();
         let f = StepFn::from_changes(false, changes);
@@ -82,9 +72,6 @@ fn bench_integral(c: &mut Criterion) {
 
 fn bench_dc_chop(c: &mut Criterion) {
     let mut group = c.benchmark_group("E3/dc-chop-decision");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [10usize, 50, 250] {
         let changes: Vec<TimePoint> = (0..2 * k).map(|i| TimePoint::new(i as f64)).collect();
         let busy = StepFn::from_changes(false, changes);
@@ -107,9 +94,6 @@ fn bench_dc_chop(c: &mut Criterion) {
 /// E7: the 3am-deadline policy query as the gate performs it.
 fn bench_deadline_policy(c: &mut Criterion) {
     let mut group = c.benchmark_group("E7/newspaper-deadline");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     let mut tl = PermissionTimeline::new(21_600.0, BaseTimeScheme::WholeLifetime);
     tl.arrive_at_server(TimePoint::new(0.0));
     tl.activate(TimePoint::new(0.0));

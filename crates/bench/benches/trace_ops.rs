@@ -5,7 +5,6 @@
 use stacl_bench::criterion::{BenchmarkId, Criterion};
 use stacl_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
-use std::time::Duration;
 
 use stacl::prelude::*;
 use stacl::trace::model::TraceModel;
@@ -24,9 +23,6 @@ fn bench_explicit_interleave(c: &mut Criterion) {
     // The finite-set oracle: interleaving two k-traces is C(2k, k) — the
     // exponential blow-up that motivates the symbolic pipeline.
     let mut group = c.benchmark_group("E8/explicit-interleave");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [2usize, 4, 6, 8] {
         let t1 = Trace::from_ids((0..k as u32).map(AccessId));
         let t2 = Trace::from_ids((k as u32..2 * k as u32).map(AccessId));
@@ -42,9 +38,6 @@ fn bench_explicit_interleave(c: &mut Criterion) {
 fn bench_symbolic_shuffle(c: &mut Criterion) {
     // The same interleavings symbolically: shuffle-product DFA.
     let mut group = c.benchmark_group("E8/symbolic-shuffle-dfa");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [2u32, 4, 6, 8, 12] {
         let re = Regex::shuffle(chain(k, 0), chain(k, k));
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |bch, _| {
@@ -56,9 +49,6 @@ fn bench_symbolic_shuffle(c: &mut Criterion) {
 
 fn bench_star_and_union(c: &mut Criterion) {
     let mut group = c.benchmark_group("E8/star-of-union");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [4u32, 16, 64, 256] {
         let re = Regex::star(Regex::alt_all((0..k).map(sym)));
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |bch, _| {
@@ -70,9 +60,6 @@ fn bench_star_and_union(c: &mut Criterion) {
 
 fn bench_minimization(c: &mut Criterion) {
     let mut group = c.benchmark_group("E8/hopcroft-minimize");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [4u32, 8, 16, 32] {
         // A deliberately redundant regex: (a0…ak) ∪ (a0…ak) ∪ prefix-closed
         // variants — subset construction yields duplicates to merge.
@@ -95,9 +82,6 @@ fn bench_minimization(c: &mut Criterion) {
 
 fn bench_equivalence(c: &mut Criterion) {
     let mut group = c.benchmark_group("E8/equivalence");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_millis(1200));
     for k in [4u32, 8, 16, 32] {
         // Two syntactically different, semantically equal models:
         // (a*)* ∪ chain vs a* ∪ chain.

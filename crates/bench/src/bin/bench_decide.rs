@@ -1,5 +1,6 @@
 //! `bench_decide` — the E12 decide-throughput ablation (DESIGN.md §8,
-//! EXPERIMENTS.md E12), emitted as machine-readable JSON.
+//! EXPERIMENTS.md E12) and the ratio phases built on its workload,
+//! emitted as machine-readable JSON and checked against their bounds.
 //!
 //! Drives a fleet of `--objects` mobile objects, each performing
 //! `--accesses` granted accesses against a reactive [`CoordinatedGuard`]
@@ -15,68 +16,81 @@
 //! | `incremental-global-lock`      | cursor fast path         | N threads behind one global mutex (pre-PR locking) |
 //! | `incremental-snapshot-parallel`| cursor fast path         | N threads, per-object gate shards only |
 //!
-//! Every mode reports ops/sec and p50/p99 per-decision latency in
-//! microseconds. Output goes to `--out`
-//! (default `BENCH_decide.json`).
+//! Every number comes from `stacl_bench::measure`: each mode is timed
+//! over repeated runs, each on a fresh guard, and reported as the median
+//! ops/sec with its interquartile range (`<key>_iqr`), plus p50/p99
+//! per-decision latency (µs) of the mode's last run. The ratio phases
+//! run their two sides as interleaved pairs (`measure_pair`) and report
+//! the median per-pair ratio:
 //!
-//! A second phase (E13) measures the `stacl-obs` telemetry overhead:
-//! the incremental-sequential mode is re-run with
-//! telemetry on and off (`stacl::obs::set_telemetry`), and the resulting
-//! throughput pair, overhead percentage and the full `MetricsSnapshot`
-//! of the telemetry-on runs go to `--obs-out` (default `BENCH_obs.json`).
-//! The E12 modes themselves run with telemetry on — the production
-//! default — so the headline numbers already carry the cost.
+//! * **E13** — the `stacl-obs` telemetry overhead: the
+//!   incremental-sequential mode with telemetry on vs off; the overhead
+//!   and the full `MetricsSnapshot` of one telemetry-on run go to
+//!   `--obs-out` (default `BENCH_obs.json`). The E12 modes run with
+//!   telemetry on — the production default.
+//! * **E15** — live policy rollouts: the steady workload with and
+//!   without a background thread performing 8 complete `prepare_epoch`
+//!   → `activate_epoch` rollouts. A pair counts only if all 8 landed;
+//!   with too few counted pairs the ratio is `null`.
+//! * **E17** — coalition vocabulary width: the access table padded to
+//!   64→4096 interned ids the constraint never selects, compressed leaf
+//!   alphabets (the default) vs `set_alphabet_compression(false)`. The
+//!   4096-id pair yields `ops_per_sec_large_vocab` /
+//!   `alphabet_compression_x`.
+//! * **E19** — the attribute front-end: a guard built from a hand-written
+//!   SRAC/temporal policy vs one built from an `stacl-abac` attribute
+//!   policy that lowers to the same primitives (the phase asserts the
+//!   lowered constraint/validity are structurally the promised ones, so
+//!   the comparison can't silently go vacuous).
 //!
-//! A third phase (E15) measures the cost of *live policy rollouts*: the
-//! steady incremental-sequential workload is re-run while a background
-//! thread performs complete `prepare_epoch` → `activate_epoch` rollouts
-//! at a fixed cadence. The flip-phase throughput must stay within 10% of
-//! the no-flip baseline — preparation happens under a read lock off the
-//! hot path, and the activation write lock is held only for the pointer
-//! swap.
-//!
-//! A fourth phase (E17) sweeps the *coalition vocabulary width*: the
-//! incremental-sequential workload is re-run with the access table
-//! padded to 64→4096 interned ids the permission's constraint never
-//! selects, once with compressed leaf alphabets (the default) and once
-//! with `set_alphabet_compression(false)` so every leaf compiles over
-//! the full table. The 4096-id pair yields the headline
-//! `ops_per_sec_large_vocab` / `alphabet_compression_x` keys: with
-//! compression the leaf alphabet stays at the constraint's ~2 symbol
-//! classes regardless of table width, so compile and cold-start costs
-//! stop scaling with coalition size.
-//!
-//! A fifth phase (E19) prices the attribute front-end: the same steady
-//! workload is run against a guard built from a hand-written
-//! SRAC/temporal policy and against one built from an `stacl-abac`
-//! attribute policy (CIDR allow set + cron window) that *lowers to the
-//! same primitives*. Lowering happens entirely before guard
-//! construction, so the two hot paths are identical code — the measured
-//! ratio must stay within 5% of 1.0 (acceptance), and the phase asserts
-//! the lowered constraint/validity are structurally the promised ones
-//! so the comparison can't silently go vacuous.
+//! Both JSONs carry a `run` object (grid, repetitions per phase, cores,
+//! git revision). After writing them the binary checks the documented
+//! bounds — E12 speedup ≥ 5×, E13 overhead ≤ 2 %, E15 flip ratio ≥ 0.9,
+//! E17 compression at 4096 ids ≥ 2×, E19 lowered/hand-written within
+//! [0.95, 1.05] — and exits 1 if any ratio's whole IQR lies past its
+//! bound or the ratio is `null`. The bounds are documented for the
+//! default 64 × 1000 grid.
 //!
 //! Usage: `bench_decide [--objects 64] [--accesses 1000] [--threads 0] [--out BENCH_decide.json]
 //! [--obs-out BENCH_obs.json]` (`--threads 0` = available parallelism).
 
-use stacl::naplet::guard::GuardRequest;
-use stacl::prelude::*;
-use stacl_bench::fleet_model;
-use stacl_ids::json::JsonWriter;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use stacl::prelude::*;
+use stacl_bench::measure::{
+    breaches, field_run, field_spread, measure, measure_pair, quantile, round3, Bound, Pair, Spread,
+};
+use stacl_bench::{fleet_model, Fleet};
+use stacl_ids::json::JsonWriter;
+
 /// One measured configuration.
-struct ModeResult {
+struct Mode {
     name: &'static str,
-    ops_per_sec: f64,
-    /// Per-decision latency percentiles (µs).
+    ops: Spread,
+    /// Per-decision latency percentiles (µs) of the mode's last run.
     p50_us: f64,
     p99_us: f64,
-    elapsed_s: f64,
-    decisions: usize,
 }
+
+impl Mode {
+    fn new(name: &'static str, ops: Spread, mut lat_us: Vec<f64>) -> Mode {
+        lat_us.sort_by(f64::total_cmp);
+        Mode {
+            name,
+            ops,
+            p50_us: quantile(&lat_us, 0.50),
+            p99_us: quantile(&lat_us, 0.99),
+        }
+    }
+}
+
+/// Rollouts per E15 flip run.
+const FLIPS: u64 = 8;
+
+/// E17 table widths.
+const VOCAB_SIZES: [usize; 4] = [64, 256, 1024, 4096];
 
 fn main() {
     let mut objects = 64usize;
@@ -114,404 +128,336 @@ fn main() {
             .unwrap_or(1);
     }
     threads = threads.min(objects.max(1));
+    let fleet = Fleet::new(objects, accesses);
+    let grid = format!("{objects}x{accesses}");
 
     eprintln!("bench_decide: {objects} objects x {accesses} accesses, {threads} threads");
 
-    let mut results = vec![
-        run_sequential("from-scratch-sequential", objects, accesses, false),
-        run_sequential("incremental-sequential", objects, accesses, true),
-        run_parallel("incremental-global-lock", objects, accesses, threads, true),
-        run_parallel(
-            "incremental-snapshot-parallel",
-            objects,
-            accesses,
-            threads,
-            false,
-        ),
+    // ---- E12: the four decision-path modes ----
+    let mut modes = vec![
+        sequential_mode("from-scratch-sequential", &fleet, false),
+        sequential_mode("incremental-sequential", &fleet, true),
+        parallel_mode("incremental-global-lock", &fleet, threads, true),
+        parallel_mode("incremental-snapshot-parallel", &fleet, threads, false),
     ];
 
     // ---- E15: live-rollout cost (DESIGN.md §12) ----
-    // The no-flip baseline is a fresh steady run (not the E12 number, so
-    // both sides of the ratio share the same warm-up conditions); the
-    // flip run repeats it while a background thread performs ~8 complete
-    // prepare→activate rollouts spread across the run. Like E13, single
-    // runs swing by more than the effect being measured, so the phase
-    // runs as matched pairs — baseline and flip run back-to-back under
-    // the same machine conditions — and the ratio is taken from the
-    // best pair. Noise on a shared box only ever slows a run down, so
-    // the least-noisy pair is the closest estimate of the true rollout
-    // cost; mixing the best baseline of one moment with the flip run of
-    // another would measure the machine, not the flip. Pairs where the
-    // flipper landed the *most* rollouts win first (and only then the
-    // ratio), so a trial whose flipper got cut short cannot flatter the
-    // result.
-    const FLIP_TRIALS: usize = 7;
-    let mut best: Option<(ModeResult, ModeResult, u64)> = None;
-    for _ in 0..FLIP_TRIALS {
-        let base = run_sequential("steady-no-flip", objects, accesses, true);
-        // elapsed/10, not /8: all 8 rollouts must land inside the run
-        // even when the flip run keeps full no-flip speed — otherwise
-        // the best pairs are exactly the ones whose last flips get cut
-        // off, and the max-flips preference would discard them.
-        let flip_every = Duration::from_secs_f64((base.elapsed_s / 10.0).max(0.0005));
-        let (under, flips) = run_under_flips(objects, accesses, flip_every);
-        let ratio = under.ops_per_sec / base.ops_per_sec;
-        let better = match &best {
-            Some((b, u, n)) => (flips, ratio) > (*n, u.ops_per_sec / b.ops_per_sec),
-            None => true,
-        };
-        if better {
-            best = Some((base, under, flips));
-        }
-    }
-    let (no_flip, under_flips, epoch_flips) = best.expect("at least one flip trial");
-    let flip_ratio = under_flips.ops_per_sec / no_flip.ops_per_sec;
-    eprintln!(
-        "  epoch-flip phase: {epoch_flips} rollouts, throughput ratio {flip_ratio:.3} \
-         (acceptance: >= 0.9)"
+    // The rollouts are spaced so all of them land within two thirds of
+    // a median-speed run; a flip run they did not all land in does not
+    // count (its pair is dropped).
+    let steady_s = fleet.decisions() as f64 / modes[1].ops.median;
+    let flip_every = Duration::from_secs_f64((steady_s / 12.0).max(0.0005));
+    let (mut lat_base, mut lat_flip) = (Vec::new(), Vec::new());
+    let mut epoch_flips = 0;
+    let flips = measure_pair(
+        || Some(run_sequential(&fleet, &fleet.guard(), 0, &mut lat_base)),
+        || {
+            let (ops, landed) = run_under_flips(&fleet, flip_every, &mut lat_flip);
+            epoch_flips = epoch_flips.max(landed);
+            (landed == FLIPS).then_some(ops)
+        },
     );
-    results.push(no_flip);
-    results.push(under_flips);
+    match flips.ratio {
+        Some(r) => eprintln!(
+            "  epoch-flip phase: {} counted pairs, throughput ratio {:.3} (acceptance: >= 0.9)",
+            r.n, r.median
+        ),
+        None => eprintln!("  epoch-flip phase: too few pairs with all {FLIPS} rollouts landed"),
+    }
+    modes.push(Mode::new("steady-no-flip", flips.a, lat_base));
+    modes.push(Mode::new("steady-under-flips", flips.b, lat_flip));
 
     // ---- E17: alphabet-size sweep (DESIGN.md §14, EXPERIMENTS.md E17) ----
-    // Same steady incremental workload, but the per-run table is padded
-    // with filler ids the constraint never selects — the large-coalition
-    // shape where any one permission mentions a sliver of the vocabulary.
-    // Each width runs compressed (default) and full-alphabet
-    // back-to-back so the ratio is taken under the same machine
-    // conditions; the flag is restored before the later E13 phase.
-    const VOCAB_SIZES: [usize; 4] = [64, 256, 1024, 4096];
+    // The per-run table is padded with filler ids the constraint never
+    // selects — the large-coalition shape where any one permission
+    // mentions a sliver of the vocabulary. Side `a` compiles full leaf
+    // alphabets, side `b` compressed ones; the flag is restored after.
     eprintln!("bench_decide: E17 alphabet-size sweep (compressed vs full leaf alphabets)");
-    let mut sweep: Vec<(usize, ModeResult, ModeResult)> = Vec::new();
-    for ids in VOCAB_SIZES {
-        stacl::srac::set_alphabet_compression(true);
-        let on = run_large_vocab("large-vocab-compressed", objects, accesses, ids);
-        stacl::srac::set_alphabet_compression(false);
-        let off = run_large_vocab("large-vocab-full-alphabet", objects, accesses, ids);
-        stacl::srac::set_alphabet_compression(true);
-        eprintln!(
-            "  {ids:>5} table ids: {:>12.0} ops/s compressed  {:>12.0} ops/s full  ({:.2}x)",
-            on.ops_per_sec,
-            off.ops_per_sec,
-            on.ops_per_sec / off.ops_per_sec
-        );
-        sweep.push((ids, on, off));
-    }
+    let sequential =
+        |ids: usize| Some(run_sequential(&fleet, &fleet.guard(), ids, &mut Vec::new()));
+    let sweep: Vec<(usize, Pair)> = VOCAB_SIZES
+        .into_iter()
+        .map(|ids| {
+            let p = measure_pair(
+                || {
+                    stacl::srac::set_alphabet_compression(false);
+                    sequential(ids)
+                },
+                || {
+                    stacl::srac::set_alphabet_compression(true);
+                    sequential(ids)
+                },
+            );
+            let r = p.ratio.expect("every E17 pair counts");
+            eprintln!(
+                "  {ids:>5} table ids: {:>12.0} ops/s compressed  {:>12.0} ops/s full  ({:.2}x)",
+                p.b.median, p.a.median, r.median
+            );
+            (ids, p)
+        })
+        .collect();
+    stacl::srac::set_alphabet_compression(true);
 
     // ---- E19: attribute front-end vs hand-written policies ----
-    // Interleaved best-of-N like E13: noise on a shared box only slows a
-    // run down, so the best run of each side is the closest estimate of
-    // its true cost, and the ratio of bests is the fairest comparison.
-    const ATTR_TRIALS: usize = 7;
-    eprintln!("bench_decide: E19 lowered-attribute vs hand-written policy (best of {ATTR_TRIALS})");
-    let best = |a: ModeResult, b: ModeResult| {
-        if b.ops_per_sec > a.ops_per_sec {
-            b
-        } else {
-            a
-        }
-    };
+    eprintln!("bench_decide: E19 lowered-attribute vs hand-written policy");
     let (hand_text, lowered_text) = attr_policy_pair(objects);
-    let mut hand = run_policy_text("attr-handwritten", &hand_text, objects, accesses);
-    let mut lowered = run_policy_text("attr-lowered", &lowered_text, objects, accesses);
-    for _ in 1..ATTR_TRIALS {
-        hand = best(
-            hand,
-            run_policy_text("attr-handwritten", &hand_text, objects, accesses),
-        );
-        lowered = best(
-            lowered,
-            run_policy_text("attr-lowered", &lowered_text, objects, accesses),
-        );
-    }
+    let attr = measure_pair(
+        || Some(run_policy_text(&fleet, &hand_text)),
+        || Some(run_policy_text(&fleet, &lowered_text)),
+    );
+    let attr_ratio = attr.ratio.expect("every E19 pair counts");
     eprintln!(
         "  attr phase: {:>12.0} ops/s hand-written  {:>12.0} ops/s lowered  (ratio {:.3}, \
          acceptance: within 5% of 1.0)",
-        hand.ops_per_sec,
-        lowered.ops_per_sec,
-        lowered.ops_per_sec / hand.ops_per_sec
+        attr.a.median, attr.b.median, attr_ratio.median
     );
-    let attr_pair = (hand, lowered);
-
-    for r in &results {
-        eprintln!(
-            "  {:<30} {:>12.0} ops/s  p50 {:>8.2} us  p99 {:>8.2} us",
-            r.name, r.ops_per_sec, r.p50_us, r.p99_us
-        );
-    }
-
-    let json = render_json(
-        objects,
-        accesses,
-        threads,
-        &results,
-        epoch_flips,
-        &sweep,
-        &attr_pair,
-    );
-    std::fs::write(&out, json).expect("write --out");
-    eprintln!("wrote {out}");
 
     // ---- E13: telemetry overhead (DESIGN.md §10, EXPERIMENTS.md E13) ----
-    // Single runs swing by ±5% on a shared machine, far above the effect
-    // being measured, so each configuration is run `TRIALS` times
-    // interleaved (on, off, on, off, …) and the best run of each is kept —
-    // best-of-N converges on the noise floor much faster than the mean.
-    const TRIALS: usize = 9;
-    eprintln!("bench_decide: E13 telemetry overhead (on vs off, best of {TRIALS})");
-    let best = |a: ModeResult, b: ModeResult| {
-        if b.ops_per_sec > a.ops_per_sec {
-            b
-        } else {
-            a
-        }
-    };
+    // One untimed telemetry-on run first: its snapshot is the exported
+    // metrics payload, exercising every grant-path counter and the
+    // decide histogram exactly once.
+    eprintln!("bench_decide: E13 telemetry overhead (on vs off)");
     stacl::obs::set_telemetry(true);
     stacl::obs::reset();
-    let mut seq_on = run_sequential("incremental-sequential (obs on)", objects, accesses, true);
-    // The snapshot after the first telemetry-on run is the exported
-    // metrics payload: it exercises every grant-path counter and the
-    // decide histogram exactly once.
+    sequential(0);
     let metrics = stacl::obs::snapshot();
-    stacl::obs::set_telemetry(false);
-    let mut seq_off = run_sequential("incremental-sequential (obs off)", objects, accesses, true);
-    for _ in 1..TRIALS {
-        stacl::obs::set_telemetry(true);
-        seq_on = best(
-            seq_on,
-            run_sequential("incremental-sequential (obs on)", objects, accesses, true),
-        );
-        stacl::obs::set_telemetry(false);
-        seq_off = best(
-            seq_off,
-            run_sequential("incremental-sequential (obs off)", objects, accesses, true),
-        );
-    }
+    let obs = measure_pair(
+        || {
+            stacl::obs::set_telemetry(true);
+            sequential(0)
+        },
+        || {
+            stacl::obs::set_telemetry(false);
+            sequential(0)
+        },
+    );
     stacl::obs::set_telemetry(true);
-    for r in [&seq_on, &seq_off] {
-        eprintln!("  {:<38} {:>12.0} ops/s", r.name, r.ops_per_sec);
+    // Overhead in percent: how much slower on is than off.
+    let overhead = obs
+        .ratio
+        .expect("every E13 pair counts")
+        .map(|r| (r - 1.0) * 100.0);
+    eprintln!(
+        "  obs on {:>12.0} ops/s  off {:>12.0} ops/s  overhead {:.2}%",
+        obs.a.median, obs.b.median, overhead.median
+    );
+
+    for m in &modes {
+        eprintln!(
+            "  {:<30} {:>12.0} ops/s  p50 {:>8.2} us  p99 {:>8.2} us",
+            m.name, m.ops.median, m.p50_us, m.p99_us
+        );
     }
 
-    let obs_json = render_obs_json(objects, accesses, &seq_on, &seq_off, &metrics);
-    std::fs::write(&obs_out, obs_json).expect("write --obs-out");
-    eprintln!("wrote {obs_out}");
-}
+    let mut reps: Vec<(String, usize)> = modes
+        .iter()
+        .take(4)
+        .map(|m| (m.name.to_string(), m.ops.n))
+        .collect();
+    reps.push(("e15-pairs".to_string(), flips.a.n));
+    for (ids, p) in &sweep {
+        reps.push((format!("e17-table-{ids}-pairs"), p.a.n));
+    }
+    reps.push(("e19-pairs".to_string(), attr.a.n));
+    let mut w = JsonWriter::object();
+    w.field_str("experiment", "E12-decide-throughput");
+    w.field_usize("objects", objects);
+    w.field_usize("accesses_per_object", accesses);
+    w.field_usize("threads", threads);
+    let find = |n: &str| &modes.iter().find(|m| m.name == n).expect("mode").ops;
+    let scratch = find("from-scratch-sequential");
+    let inc = find("incremental-sequential");
+    // "Best" ranges over the E12 ablation modes only — the steady E15
+    // runs re-measure one of them, they don't compete with it.
+    let best = modes[..4]
+        .iter()
+        .map(|m| &m.ops)
+        .max_by(|a, b| a.median.total_cmp(&b.median))
+        .expect("four modes");
+    w.open_object("modes");
+    for m in &modes {
+        w.open_object(m.name);
+        field_spread(&mut w, "ops_per_sec", Some(&m.ops));
+        w.field_f64("p50_us", round3(m.p50_us));
+        w.field_f64("p99_us", round3(m.p99_us));
+        w.field_f64("elapsed_s", round3(fleet.decisions() as f64 / m.ops.median));
+        w.field_usize("decisions", fleet.decisions());
+        w.close();
+    }
+    w.close();
+    let speedup = inc.over(scratch);
+    field_spread(
+        &mut w,
+        "speedup_incremental_vs_from_scratch",
+        Some(&speedup),
+    );
+    field_spread(
+        &mut w,
+        "speedup_snapshot_vs_global_lock",
+        Some(&find("incremental-snapshot-parallel").over(find("incremental-global-lock"))),
+    );
+    field_spread(
+        &mut w,
+        "speedup_best_vs_from_scratch",
+        Some(&best.over(scratch)),
+    );
+    w.field_u64("epoch_flips", epoch_flips);
+    field_spread(&mut w, "flip_throughput_ratio", flips.ratio.as_ref());
+    // E17: per-width pairs plus the 4096-id headline keys.
+    w.open_object("vocab_sweep");
+    for (ids, p) in &sweep {
+        w.open_object(&format!("table-{ids}"));
+        w.field_usize("table_ids", *ids);
+        field_spread(&mut w, "ops_per_sec_compressed", Some(&p.b));
+        field_spread(&mut w, "ops_per_sec_full_alphabet", Some(&p.a));
+        field_spread(&mut w, "compression_x", p.ratio.as_ref());
+        w.close();
+    }
+    w.close();
+    let (_, large) = sweep.last().expect("sweep is non-empty");
+    field_spread(&mut w, "ops_per_sec_large_vocab", Some(&large.b));
+    field_spread(&mut w, "alphabet_compression_x", large.ratio.as_ref());
+    // E19: the attribute front-end must be free at decide time.
+    field_spread(&mut w, "ops_per_sec_handwritten", Some(&attr.a));
+    field_spread(&mut w, "ops_per_sec_lowered_attr", Some(&attr.b));
+    field_spread(&mut w, "lowered_vs_handwritten_ratio", Some(&attr_ratio));
+    field_run(&mut w, &grid, &reps);
+    std::fs::write(&out, w.finish()).expect("write --out");
+    eprintln!("wrote {out}");
 
-/// Telemetry overhead in percent: how much slower the telemetry-on run
-/// is than the telemetry-off run of the same mode.
-fn overhead_pct(on: &ModeResult, off: &ModeResult) -> f64 {
-    (off.ops_per_sec / on.ops_per_sec - 1.0) * 100.0
-}
-
-fn render_obs_json(
-    objects: usize,
-    accesses: usize,
-    seq_on: &ModeResult,
-    seq_off: &ModeResult,
-    metrics: &stacl::obs::MetricsSnapshot,
-) -> String {
-    let modes = [("incremental-sequential", seq_on, seq_off)];
     let mut w = JsonWriter::object();
     w.field_str("experiment", "E13-telemetry-overhead");
     w.field_usize("objects", objects);
     w.field_usize("accesses_per_object", accesses);
     w.open_object("modes");
-    for (name, on, off) in modes {
-        w.open_object(name);
-        w.field_f64("ops_per_sec_telemetry_on", round3(on.ops_per_sec));
-        w.field_f64("ops_per_sec_telemetry_off", round3(off.ops_per_sec));
-        w.field_f64("overhead_pct", round3(overhead_pct(on, off)));
-        w.close();
-    }
+    w.open_object("incremental-sequential");
+    field_spread(&mut w, "ops_per_sec_telemetry_on", Some(&obs.a));
+    field_spread(&mut w, "ops_per_sec_telemetry_off", Some(&obs.b));
+    field_spread(&mut w, "overhead_pct", Some(&overhead));
+    w.close();
     w.close();
     // Headline number: the per-decision path, where the record calls are
     // proportionally largest.
-    w.field_f64("overhead_pct", round3(overhead_pct(seq_on, seq_off)));
+    field_spread(&mut w, "overhead_pct", Some(&overhead));
     w.field_raw("metrics", metrics.to_json().trim_end());
-    w.finish()
-}
+    field_run(&mut w, &grid, &[("e13-pairs".to_string(), obs.a.n)]);
+    std::fs::write(&obs_out, w.finish()).expect("write --obs-out");
+    eprintln!("wrote {obs_out}");
 
-/// The shared fixture: a reactive guard over the fleet model, everyone
-/// enrolled, plus the deterministic access vocabulary (4 servers so the
-/// cursor alphabet has more than one symbol).
-fn fleet_guard(objects: usize, accesses: usize, incremental: bool) -> CoordinatedGuard {
-    // Capacity beyond the workload: every decision is a grant, so the
-    // measured cost is the spatial check, not a denial short-circuit.
-    let guard = CoordinatedGuard::new(ExtendedRbac::new(fleet_model(objects, "rsw", accesses + 2)))
-        .with_mode(EnforcementMode::Reactive);
-    guard.with_rbac(|r| r.set_incremental(incremental));
-    for i in 0..objects {
-        guard.enroll(format!("n{i}"), ["licensee"]);
-    }
-    guard
-}
-
-fn vocab() -> Vec<Access> {
-    (0..4)
-        .map(|s| Access::new("exec", "rsw", format!("s{s}")))
-        .collect()
-}
-
-/// Pre-intern the vocabulary so the first cursor built for an object
-/// already covers every access the workload will present (mirrors
-/// `saturate_alphabet` for constraints that mention accesses only
-/// through selectors).
-fn warm_table(vocab: &[Access]) -> AccessTable {
-    let mut table = AccessTable::new();
-    for a in vocab {
-        table.intern(a);
-    }
-    table
-}
-
-/// [`warm_table`] padded to `total_ids` interned accesses with filler
-/// the fleet constraint's `resource = rsw` selector never matches (E17).
-/// Under compression every filler id lands in one merged symbol class;
-/// with compression off each is its own leaf-alphabet symbol, so
-/// compile cost and transition-table width scale with the table.
-fn warm_table_padded(vocab: &[Access], total_ids: usize) -> AccessTable {
-    let mut table = warm_table(vocab);
-    let mut j = 0usize;
-    while table.len() < total_ids {
-        table.intern(&Access::new("read", "db", format!("p{j}")));
-        j += 1;
-    }
-    table
-}
-
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[idx.min(sorted_us.len() - 1)]
-}
-
-fn stats(name: &'static str, elapsed_s: f64, mut lat_us: Vec<f64>, decisions: usize) -> ModeResult {
-    lat_us.sort_by(f64::total_cmp);
-    ModeResult {
-        name,
-        ops_per_sec: decisions as f64 / elapsed_s,
-        p50_us: percentile(&lat_us, 0.50),
-        p99_us: percentile(&lat_us, 0.99),
-        elapsed_s,
-        decisions,
-    }
-}
-
-/// One thread, round-robin over the fleet (the harshest interleaving for
-/// a from-scratch core: every object's history grows between its
-/// consecutive decisions).
-fn run_sequential(
-    name: &'static str,
-    objects: usize,
-    accesses: usize,
-    incremental: bool,
-) -> ModeResult {
-    let guard = fleet_guard(objects, accesses, incremental);
-    let (elapsed_s, lat_us) = decide_loop(&guard, objects, accesses, 0);
-    stats(name, elapsed_s, lat_us, objects * accesses)
-}
-
-/// E17: the incremental-sequential workload against a table padded to
-/// `table_ids` interned accesses. Timing starts before the first
-/// decision, so the run carries the real cold-start bill — leaf compile
-/// plus per-object residual products — which is exactly the cost the
-/// compressed alphabet decouples from table width.
-fn run_large_vocab(
-    name: &'static str,
-    objects: usize,
-    accesses: usize,
-    table_ids: usize,
-) -> ModeResult {
-    let guard = fleet_guard(objects, accesses, true);
-    let (elapsed_s, lat_us) = decide_loop(&guard, objects, accesses, table_ids);
-    stats(name, elapsed_s, lat_us, objects * accesses)
-}
-
-/// The steady single-threaded workload against an existing guard; returns
-/// `(elapsed seconds, per-decision latencies in µs)`. `table_ids` pads
-/// the run's table beyond the 4-access workload vocabulary (0 = none).
-fn decide_loop(
-    guard: &CoordinatedGuard,
-    objects: usize,
-    accesses: usize,
-    table_ids: usize,
-) -> (f64, Vec<f64>) {
-    let proofs = ProofStore::new();
-    let vocab = vocab();
-    let mut table = warm_table_padded(&vocab, table_ids);
-    let names: Vec<String> = (0..objects).map(|i| format!("n{i}")).collect();
-    let programs: Vec<Program> = vocab.iter().map(|a| Program::Access(a.clone())).collect();
-
-    let mut lat_us = Vec::with_capacity(objects * accesses);
-    let start = Instant::now();
-    for k in 0..accesses {
-        let a = &vocab[k % vocab.len()];
-        let prog = &programs[k % vocab.len()];
-        let time = TimePoint::new(k as f64);
-        for obj in &names {
-            let req = GuardRequest {
-                object: obj,
-                access: a,
-                remaining: prog,
-                time,
-            };
-            let t0 = Instant::now();
-            let v = guard.decide(&req, &proofs, &mut table);
-            lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
-            assert!(v.is_granted(), "fleet workload must be all-grant");
-            proofs.issue(obj, a.clone(), time);
+    let gates = [
+        (
+            "E12 speedup_incremental_vs_from_scratch",
+            Some(speedup),
+            Bound::AtLeast(5.0),
+        ),
+        ("E13 overhead_pct", Some(overhead), Bound::AtMost(2.0)),
+        (
+            "E15 flip_throughput_ratio",
+            flips.ratio,
+            Bound::AtLeast(0.9),
+        ),
+        (
+            "E17 alphabet_compression_x",
+            large.ratio,
+            Bound::AtLeast(2.0),
+        ),
+        (
+            "E19 lowered_vs_handwritten_ratio",
+            Some(attr_ratio),
+            Bound::Within(0.95, 1.05),
+        ),
+    ];
+    let mut breached = false;
+    for (key, ratio, bound) in &gates {
+        if breaches(ratio.as_ref(), *bound) {
+            breached = true;
+            match ratio {
+                Some(r) => eprintln!(
+                    "bench_decide: BREACH {key} = {:.3} (IQR {:.3}..{:.3}) against {bound:?} at {grid}",
+                    r.median, r.q1, r.q3
+                ),
+                None => eprintln!("bench_decide: BREACH {key} is null (vacuous) at {grid}"),
+            }
         }
     }
-    (start.elapsed().as_secs_f64(), lat_us)
+    if breached {
+        std::process::exit(1);
+    }
 }
 
-/// The steady workload with a background thread performing complete
-/// two-phase rollouts every `flip_every`: the epoch-`e` model is prepared
-/// under the read lock (decisions keep flowing) and activated under the
-/// write lock (a pointer swap plus cache resets). Returns the measured
-/// mode and how many rollouts landed during it.
-fn run_under_flips(objects: usize, accesses: usize, flip_every: Duration) -> (ModeResult, u64) {
-    let guard = fleet_guard(objects, accesses, true);
-    let mut flip_table = warm_table(&vocab());
+/// One measured single-threaded mode on fresh guards.
+fn sequential_mode(name: &'static str, fleet: &Fleet, incremental: bool) -> Mode {
+    let mut lat = Vec::new();
+    let ops = measure(|| {
+        let guard = fleet.guard();
+        guard.with_rbac(|r| r.set_incremental(incremental));
+        run_sequential(fleet, &guard, 0, &mut lat)
+    });
+    Mode::new(name, ops, lat)
+}
+
+/// One single-threaded run of the whole fleet against `guard`, with the
+/// table padded to `table_ids` (0 = the workload's own 4 accesses).
+/// Timing starts before the first decision, so the run carries the real
+/// cold-start bill — leaf compile plus per-object residual products —
+/// which is exactly the cost E17's compressed alphabet decouples from
+/// table width. Returns ops/sec; `lat` receives each decision's latency
+/// (µs).
+fn run_sequential(
+    fleet: &Fleet,
+    guard: &CoordinatedGuard,
+    table_ids: usize,
+    lat: &mut Vec<f64>,
+) -> f64 {
+    let proofs = ProofStore::new();
+    let mut table = fleet.table(table_ids);
+    lat.clear();
+    lat.reserve(fleet.decisions());
+    let start = Instant::now();
+    fleet.for_each(0..fleet.objects, |req| {
+        let t0 = Instant::now();
+        let v = guard.decide(req, &proofs, &mut table);
+        lat.push(t0.elapsed().as_secs_f64() * 1e6);
+        assert!(v.is_granted(), "fleet workload must be all-grant");
+        proofs.issue(req.object, req.access.clone(), req.time);
+    });
+    fleet.rate(start)
+}
+
+/// The steady workload with a background thread performing up to
+/// [`FLIPS`] complete two-phase rollouts, one every `flip_every`: the
+/// epoch-`e` model is prepared under the read lock (decisions keep
+/// flowing) and activated under the write lock (a pointer swap plus
+/// cache resets). Returns ops/sec and how many rollouts landed.
+fn run_under_flips(fleet: &Fleet, flip_every: Duration, lat: &mut Vec<f64>) -> (f64, u64) {
+    let guard = fleet.guard();
+    let model = || fleet_model(fleet.objects, "rsw", fleet.accesses + 2);
+    let mut flip_table = fleet.table(0);
     // One throwaway prepare before the clock starts: compiled automata
     // are cached per (constraint, table version) and `flip_table` is
     // fresh, so the first prepare against it pays the one-time compile a
     // long-lived daemon paid at boot. The measured phase starts from
     // that steady state — rollout cost, not cold-start cost.
-    let _ = guard.with_rbac_read(|r| {
-        r.prepare_epoch(
-            fleet_model(objects, "rsw", accesses + 2),
-            std::iter::empty(),
-            1,
-            &mut flip_table,
-        )
-    });
+    let _ =
+        guard.with_rbac_read(|r| r.prepare_epoch(model(), std::iter::empty(), 1, &mut flip_table));
     let stop = AtomicBool::new(false);
     let flips = AtomicU64::new(0);
-    let (elapsed_s, lat_us) = std::thread::scope(|s| {
+    let ops = std::thread::scope(|s| {
         // The `move` closure takes `flip_table`; everything else goes in
         // by shared reference.
-        let (guard, stop, flips) = (&guard, &stop, &flips);
+        let (guard, stop, flips, model) = (&guard, &stop, &flips, &model);
         s.spawn(move || {
-            // Bounded at 8 rollouts: the cadence is derived from the
-            // no-flip run, so without a bound a slowed-down flip run
-            // would admit ever more flips and measure a feedback loop
-            // instead of the rollout cost.
-            for epoch in 1u64..=8 {
+            // Bounded: the cadence is fixed, so without a bound a
+            // slowed-down run would admit ever more flips and measure a
+            // feedback loop instead of the rollout cost.
+            for epoch in 1..=FLIPS {
                 std::thread::sleep(flip_every);
                 if stop.load(Ordering::Relaxed) {
                     break;
                 }
                 let prepared = guard
                     .with_rbac_read(|r| {
-                        r.prepare_epoch(
-                            fleet_model(objects, "rsw", accesses + 2),
-                            std::iter::empty(),
-                            epoch,
-                            &mut flip_table,
-                        )
+                        r.prepare_epoch(model(), std::iter::empty(), epoch, &mut flip_table)
                     })
                     .expect("bench epochs strictly increase");
                 guard
@@ -520,92 +466,58 @@ fn run_under_flips(objects: usize, accesses: usize, flip_every: Duration) -> (Mo
                 flips.fetch_add(1, Ordering::Relaxed);
             }
         });
-        let r = decide_loop(guard, objects, accesses, 0);
+        let ops = run_sequential(fleet, guard, 0, lat);
         stop.store(true, Ordering::Relaxed);
-        r
+        ops
     });
-    (
-        stats("steady-under-flips", elapsed_s, lat_us, objects * accesses),
-        flips.load(Ordering::Relaxed),
-    )
+    (ops, flips.load(Ordering::Relaxed))
 }
 
-/// N threads, the fleet partitioned round-robin across them; with
-/// `global_lock`, every decide+issue runs under one external mutex —
-/// the pre-PR `Mutex<ExtendedRbac>` locking discipline. Without it, the
-/// only serialization is the per-object gate shard inside the core.
-fn run_parallel(
-    name: &'static str,
-    objects: usize,
-    accesses: usize,
-    threads: usize,
-    global_lock: bool,
-) -> ModeResult {
-    let guard = fleet_guard(objects, accesses, true);
-    let proofs = ProofStore::new();
-    let vocab = vocab();
-    let names: Vec<String> = (0..objects).map(|i| format!("n{i}")).collect();
-    let programs: Vec<Program> = vocab.iter().map(|a| Program::Access(a.clone())).collect();
-    let lock = Mutex::new(());
-
-    let mut lat_us: Vec<f64> = Vec::with_capacity(objects * accesses);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let (guard, proofs, vocab, names, programs, lock) =
-                    (&guard, &proofs, &vocab, &names, &programs, &lock);
-                s.spawn(move || {
-                    // Each thread owns a fixed slice of the fleet, so an
-                    // object's cursor is always advanced under the same
-                    // thread-local table and stays in sync.
-                    let mut table = warm_table(vocab);
-                    let mine: Vec<&String> = names.iter().skip(t).step_by(threads).collect();
-                    let mut lat = Vec::with_capacity(mine.len() * accesses);
-                    for k in 0..accesses {
-                        let a = &vocab[k % vocab.len()];
-                        let prog = &programs[k % vocab.len()];
-                        let time = TimePoint::new(k as f64);
-                        for obj in &mine {
-                            let req = GuardRequest {
-                                object: obj,
-                                access: a,
-                                remaining: prog,
-                                time,
-                            };
+/// N threads, the fleet partitioned round-robin across them, measured
+/// on fresh guards; with `global_lock`, every decide+issue runs under
+/// one external mutex — the former `Mutex<ExtendedRbac>` locking
+/// discipline. Without it, the only serialization is the per-object
+/// gate shard inside the core.
+fn parallel_mode(name: &'static str, fleet: &Fleet, threads: usize, global_lock: bool) -> Mode {
+    let mut lat_us: Vec<f64> = Vec::new();
+    let ops = measure(|| {
+        let guard = fleet.guard();
+        let proofs = ProofStore::new();
+        let lock = Mutex::new(());
+        lat_us.clear();
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (guard, proofs, lock) = (&guard, &proofs, &lock);
+                    s.spawn(move || {
+                        // Each thread owns a fixed slice of the fleet, so
+                        // an object's cursor is always advanced under the
+                        // same thread-local table and stays in sync.
+                        let mut table = fleet.table(0);
+                        let mut lat = Vec::with_capacity(fleet.decisions() / threads + 1);
+                        fleet.for_each((t..fleet.objects).step_by(threads), |req| {
                             let t0 = Instant::now();
-                            let v = if global_lock {
-                                let _g = lock.lock().expect("global lock");
-                                let v = guard.decide(&req, proofs, &mut table);
-                                if v.is_granted() {
-                                    proofs.issue(obj, a.clone(), time);
-                                }
-                                v
-                            } else {
-                                let v = guard.decide(&req, proofs, &mut table);
-                                if v.is_granted() {
-                                    proofs.issue(obj, a.clone(), time);
-                                }
-                                v
-                            };
+                            let held = global_lock.then(|| lock.lock().expect("global lock"));
+                            let v = guard.decide(req, proofs, &mut table);
+                            if v.is_granted() {
+                                proofs.issue(req.object, req.access.clone(), req.time);
+                            }
+                            drop(held);
                             lat.push(t0.elapsed().as_secs_f64() * 1e6);
                             assert!(v.is_granted(), "fleet workload must be all-grant");
-                        }
-                    }
-                    lat
+                        });
+                        lat
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            lat_us.extend(h.join().expect("bench worker"));
-        }
+                .collect();
+            for h in handles {
+                lat_us.extend(h.join().expect("bench worker"));
+            }
+        });
+        fleet.rate(start)
     });
-    stats(
-        name,
-        start.elapsed().as_secs_f64(),
-        lat_us,
-        objects * accesses,
-    )
+    Mode::new(name, ops, lat_us)
 }
 
 /// E19 fixture: a hand-written policy and an attribute policy that
@@ -658,108 +570,15 @@ fn attr_policy_pair(objects: usize) -> (String, String) {
     (hand, stacl::rbac::policy::render_policy(&lowered.model))
 }
 
-/// E19 measurement: the steady sequential workload against a reactive
-/// guard built from arbitrary policy text (the same construction path a
-/// daemon uses for a pushed policy).
-fn run_policy_text(name: &'static str, text: &str, objects: usize, accesses: usize) -> ModeResult {
+/// E19 measurement: one steady sequential run against a reactive guard
+/// built from policy text (the same construction path a daemon uses for
+/// a pushed policy).
+fn run_policy_text(fleet: &Fleet, text: &str) -> f64 {
     let model = stacl::rbac::policy::parse_policy(text).expect("bench policy text parses");
-    let guard =
-        CoordinatedGuard::new(ExtendedRbac::new(model)).with_mode(EnforcementMode::Reactive);
-    guard.with_rbac(|r| r.set_incremental(true));
-    for i in 0..objects {
-        guard.enroll(format!("n{i}"), ["licensee"]);
-    }
-    let (elapsed_s, lat_us) = decide_loop(&guard, objects, accesses, 0);
-    stats(name, elapsed_s, lat_us, objects * accesses)
-}
-
-/// Round to three decimals — the reports' historical precision.
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    objects: usize,
-    accesses: usize,
-    threads: usize,
-    results: &[ModeResult],
-    epoch_flips: u64,
-    sweep: &[(usize, ModeResult, ModeResult)],
-    attr_pair: &(ModeResult, ModeResult),
-) -> String {
-    let find = |n: &str| results.iter().find(|r| r.name == n).expect("mode present");
-    let scratch = find("from-scratch-sequential");
-    let inc = find("incremental-sequential");
-    let locked = find("incremental-global-lock");
-    let snap = find("incremental-snapshot-parallel");
-    let no_flip = find("steady-no-flip");
-    let flipped = find("steady-under-flips");
-    // "Best" ranges over the E12 ablation modes only — the steady E15
-    // runs re-measure one of them, they don't compete with it.
-    let best = [scratch, inc, locked, snap]
-        .iter()
-        .map(|r| r.ops_per_sec)
-        .fold(0.0f64, f64::max);
-
-    let mut w = JsonWriter::object();
-    w.field_str("experiment", "E12-decide-throughput");
-    w.field_usize("objects", objects);
-    w.field_usize("accesses_per_object", accesses);
-    w.field_usize("threads", threads);
-    w.open_object("modes");
-    for r in results {
-        w.open_object(r.name);
-        w.field_f64("ops_per_sec", round3(r.ops_per_sec));
-        w.field_f64("p50_us", round3(r.p50_us));
-        w.field_f64("p99_us", round3(r.p99_us));
-        w.field_f64("elapsed_s", round3(r.elapsed_s));
-        w.field_usize("decisions", r.decisions);
-        w.close();
-    }
-    w.close();
-    w.field_f64(
-        "speedup_incremental_vs_from_scratch",
-        round3(inc.ops_per_sec / scratch.ops_per_sec),
-    );
-    w.field_f64(
-        "speedup_snapshot_vs_global_lock",
-        round3(snap.ops_per_sec / locked.ops_per_sec),
-    );
-    w.field_f64(
-        "speedup_best_vs_from_scratch",
-        round3(best / scratch.ops_per_sec),
-    );
-    w.field_u64("epoch_flips", epoch_flips);
-    w.field_f64(
-        "flip_throughput_ratio",
-        round3(flipped.ops_per_sec / no_flip.ops_per_sec),
-    );
-    // E17 alphabet-size sweep: per-width pairs plus the 4096-id headline
-    // keys the CI schema check pins.
-    w.open_object("vocab_sweep");
-    for (ids, on, off) in sweep {
-        w.open_object(&format!("table-{ids}"));
-        w.field_usize("table_ids", *ids);
-        w.field_f64("ops_per_sec_compressed", round3(on.ops_per_sec));
-        w.field_f64("ops_per_sec_full_alphabet", round3(off.ops_per_sec));
-        w.field_f64("compression_x", round3(on.ops_per_sec / off.ops_per_sec));
-        w.close();
-    }
-    w.close();
-    let (_, large_on, large_off) = sweep.last().expect("sweep is non-empty");
-    w.field_f64("ops_per_sec_large_vocab", round3(large_on.ops_per_sec));
-    w.field_f64(
-        "alphabet_compression_x",
-        round3(large_on.ops_per_sec / large_off.ops_per_sec),
-    );
-    // E19: the attribute front-end must be free at decide time.
-    let (hand, lowered) = attr_pair;
-    w.field_f64("ops_per_sec_handwritten", round3(hand.ops_per_sec));
-    w.field_f64("ops_per_sec_lowered_attr", round3(lowered.ops_per_sec));
-    w.field_f64(
-        "lowered_vs_handwritten_ratio",
-        round3(lowered.ops_per_sec / hand.ops_per_sec),
-    );
-    w.finish()
+    run_sequential(
+        fleet,
+        &fleet.enroll(ExtendedRbac::new(model)),
+        0,
+        &mut Vec::new(),
+    )
 }

@@ -15,16 +15,24 @@
 //! The pipelined phase sweeps the window depth; the best window's
 //! throughput lands in `ops_per_sec_wire_pipelined` / `pipeline_window`.
 //!
-//! All wire modes share **one** daemon and **one** vocabulary-synced
-//! connection — the realistic steady state, where a member joins once
-//! and stays. The one-time connect + vocabulary-sync cost is measured
-//! separately (`connect_sync_s`) instead of being smeared into any
-//! mode's throughput.
+//! Every mode is timed with `stacl_bench::measure` — repeated runs,
+//! reported as the median ops/sec with its interquartile range
+//! (`<key>_iqr`); the in-process mode runs each repetition on a fresh
+//! guard. The report's `run` object records the grid, the repetitions
+//! per mode, the core count and the git revision. The E18 placement
+//! phase is one shot (`reps: 1`).
+//!
+//! All wire modes and all their repetitions share **one** daemon and
+//! **one** vocabulary-synced connection — the realistic steady state,
+//! where a member joins once and stays. The one-time connect +
+//! vocabulary-sync cost is measured separately (`connect_sync_s`)
+//! instead of being smeared into any mode's throughput.
 //!
 //! Telemetry runs for the wire modes, so the report also carries the
 //! frame and byte counters — the per-decision wire footprint is
-//! `bytes_tx / decisions`, which quantifies the vocabulary-sync design
-//! (steady-state frames carry u32 ids, never names).
+//! `bytes_tx / decisions` over the wire-sequential repetitions, which
+//! quantifies the vocabulary-sync design (steady-state frames carry u32
+//! ids, never names).
 //!
 //! Usage: `bench_net [--objects 32] [--accesses 500] [--out BENCH_net.json]`
 
@@ -32,19 +40,12 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use stacl::coalition::Placement;
-use stacl::naplet::guard::GuardRequest;
 use stacl::obs::Counter;
 use stacl::prelude::*;
-use stacl_bench::fleet_model;
+use stacl_bench::measure::{field_run, field_spread, measure, quantile, round3, Spread};
+use stacl_bench::{fleet_model, Fleet};
 use stacl_ids::json::JsonWriter;
 use stacl_net::{Client, DaemonConfig, DaemonHandle};
-
-struct ModeResult {
-    name: String,
-    ops_per_sec: f64,
-    elapsed_s: f64,
-    decisions: usize,
-}
 
 fn main() {
     let mut objects = 32usize;
@@ -80,77 +81,74 @@ fn main() {
     stacl::obs::set_telemetry(true);
     stacl::obs::reset();
 
-    let decisions = objects * accesses;
-    let names: Vec<String> = (0..objects).map(|i| format!("n{i}")).collect();
-    let vocab: Vec<Access> = (0..4)
-        .map(|s| Access::new("exec", "rsw", format!("s{s}")))
-        .collect();
+    let fleet = Fleet::new(objects, accesses);
+    let decisions = fleet.decisions();
+    let mut modes: Vec<(String, Spread)> = Vec::new();
 
-    let local = run_in_process(objects, accesses, &names, &vocab);
+    let local = measure(|| {
+        let guard = fleet.guard();
+        let proofs = ProofStore::new();
+        let mut table = fleet.table(0);
+        let start = Instant::now();
+        fleet.for_each(0..objects, |req| {
+            let v = guard.decide(req, &proofs, &mut table);
+            assert!(v.is_granted(), "fleet workload must be all-grant");
+        });
+        fleet.rate(start)
+    });
+    modes.push(("in-process".to_string(), local));
 
-    // One daemon, one session: both wire modes reuse the same
+    // One daemon, one session: every wire mode reuses the same
     // vocabulary-synced connection, and the one-time join cost is
     // measured on its own.
-    let mut handle = stacl_net::spawn(
-        make_guard(objects, accesses),
-        ProofStore::new(),
-        DaemonConfig::new("bench"),
-    )
-    .expect("bind loopback");
+    let mut handle = stacl_net::spawn(fleet.guard(), ProofStore::new(), DaemonConfig::new("bench"))
+        .expect("bind loopback");
     let join = Instant::now();
     let mut client = Client::connect(handle.addr(), "bench-driver", Some(Duration::from_secs(10)))
         .expect("connect");
-    client
-        .sync_vocab(
-            names
-                .iter()
-                .map(String::as_str)
-                .chain(["exec", "rsw", "s0", "s1", "s2", "s3"]),
-        )
-        .expect("vocab sync");
+    client.sync_vocab(fleet.wire_names()).expect("vocab sync");
     let connect_sync_s = join.elapsed().as_secs_f64();
 
     let before_wire = stacl::obs::snapshot();
-    let wire_seq = run_wire(&mut client, false, objects, accesses, &names, &vocab);
+    let wire_seq = measure(|| {
+        let start = Instant::now();
+        fleet.for_each(0..objects, |req| {
+            let rem = std::slice::from_ref(req.access);
+            let v = client
+                .decide(req.object, req.access, rem, req.time.seconds())
+                .expect("decide");
+            assert!(v.is_granted(), "fleet workload must be all-grant");
+        });
+        fleet.rate(start)
+    });
     let wire_stats = stacl::obs::snapshot().diff(&before_wire);
-    let wire_batch = run_wire(&mut client, true, objects, accesses, &names, &vocab);
+    let wire_decisions = decisions * (wire_seq.n + 1);
+    modes.push(("wire-sequential".to_string(), wire_seq));
+    let wire_batch = measure(|| run_wire_batch(&mut client, &fleet));
+    modes.push(("wire-batch".to_string(), wire_batch));
 
     // E16: sweep the pipeline window depth over the same workload.
     let windows = [16usize, 64, 256, 1024];
-    let mut sweep: Vec<ModeResult> = Vec::new();
     let before_pipe = stacl::obs::snapshot();
-    for &win in &windows {
-        sweep.push(run_wire_pipelined(
-            &mut client,
-            win,
-            objects,
-            accesses,
-            &names,
-            &vocab,
-        ));
-    }
+    let sweep: Vec<Spread> = windows
+        .iter()
+        .map(|&win| measure(|| run_wire_pipelined(&mut client, win, &fleet)))
+        .collect();
     let pipe_stats = stacl::obs::snapshot().diff(&before_pipe);
+    for (win, s) in windows.iter().zip(&sweep) {
+        modes.push((format!("wire-pipelined-w{win}"), *s));
+    }
     drop(client);
     handle.shutdown();
 
-    // E18: the million-object placement phase — custody pinned by the
-    // rendezvous ring across a full coalition, decide throughput with the
-    // whole population resident, churn drain rate and tail latency, and
-    // the compaction-bounded proof memory proxy.
-    let placed = run_placement(placement_objects, placement_daemons);
-
-    let best = sweep
+    let (best_window, best) = windows
         .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.ops_per_sec.total_cmp(&b.1.ops_per_sec))
-        .map(|(i, m)| (windows[i], m))
+        .zip(&sweep)
+        .max_by(|a, b| a.1.median.total_cmp(&b.1.median))
         .expect("non-empty sweep");
 
     let frames_tx = wire_stats.counter(Counter::NetFrameTx);
     let bytes_tx = wire_stats.counter(Counter::NetBytesTx);
-    let overhead_x = local.ops_per_sec / wire_seq.ops_per_sec;
-    let batch_recovery_x = wire_batch.ops_per_sec / wire_seq.ops_per_sec;
-    let pipeline_recovery_x = best.1.ops_per_sec / wire_seq.ops_per_sec;
     // Frames-per-wakeup and frames-per-flush over the whole pipelined
     // sweep: how much readiness batching and write coalescing the event
     // loop actually achieved.
@@ -159,28 +157,31 @@ fn main() {
     let pipe_frames_rx = pipe_stats.counter(Counter::NetFrameRx);
     let pipe_frames_tx = pipe_stats.counter(Counter::NetFrameTx);
 
-    let round3 = |x: f64| (x * 1000.0).round() / 1000.0;
     let mut w = JsonWriter::object();
     w.field_str("experiment", "E14-wire-overhead");
     w.field_usize("objects", objects);
     w.field_usize("accesses_per_object", accesses);
     w.open_object("modes");
-    for m in [&local, &wire_seq, &wire_batch].into_iter().chain(&sweep) {
-        w.open_object(&m.name);
-        w.field_f64("ops_per_sec", round3(m.ops_per_sec));
-        w.field_f64("elapsed_s", round3(m.elapsed_s));
-        w.field_usize("decisions", m.decisions);
+    for (name, s) in &modes {
+        w.open_object(name);
+        field_spread(&mut w, "ops_per_sec", Some(s));
+        w.field_f64("elapsed_s", round3(decisions as f64 / s.median));
+        w.field_usize("decisions", decisions);
         w.close();
     }
     w.close();
-    w.field_f64("ops_per_sec_in_process", round3(local.ops_per_sec));
-    w.field_f64("ops_per_sec_wire", round3(wire_seq.ops_per_sec));
-    w.field_f64("ops_per_sec_wire_batch", round3(wire_batch.ops_per_sec));
-    w.field_f64("ops_per_sec_wire_pipelined", round3(best.1.ops_per_sec));
-    w.field_usize("pipeline_window", best.0);
-    w.field_f64("overhead_x", round3(overhead_x));
-    w.field_f64("batch_recovery_x", round3(batch_recovery_x));
-    w.field_f64("pipeline_recovery_x", round3(pipeline_recovery_x));
+    field_spread(&mut w, "ops_per_sec_in_process", Some(&local));
+    field_spread(&mut w, "ops_per_sec_wire", Some(&wire_seq));
+    field_spread(&mut w, "ops_per_sec_wire_batch", Some(&wire_batch));
+    field_spread(&mut w, "ops_per_sec_wire_pipelined", Some(best));
+    w.field_usize("pipeline_window", *best_window);
+    field_spread(&mut w, "overhead_x", Some(&local.over(&wire_seq)));
+    field_spread(
+        &mut w,
+        "batch_recovery_x",
+        Some(&wire_batch.over(&wire_seq)),
+    );
+    field_spread(&mut w, "pipeline_recovery_x", Some(&best.over(&wire_seq)));
     w.field_f64(
         "pipeline_frames_per_wakeup",
         round3(pipe_frames_rx as f64 / wakeups as f64),
@@ -194,62 +195,27 @@ fn main() {
     w.field_u64("bytes_tx", bytes_tx);
     w.field_f64(
         "bytes_per_decision",
-        round3(bytes_tx as f64 / decisions as f64),
+        round3(bytes_tx as f64 / wire_decisions as f64),
     );
-    // E18 placement phase: the schema-checked headline keys at top level,
-    // full detail nested under "placement".
-    w.open_object("placement");
-    w.field_usize("objects", placed.objects);
-    w.field_usize("daemons", placed.daemons);
-    w.field_usize("hot_objects", placed.hot);
-    w.field_usize("steps", placed.steps);
-    w.field_usize("compact_after", placed.compact_after);
-    w.field_f64("claims_per_sec", round3(placed.claims_per_sec));
-    w.field_f64("ops_per_sec", round3(placed.ops_per_sec));
-    w.field_usize("decisions", placed.decisions);
-    w.field_f64("p50_us_churn", round3(placed.p50_us_churn));
-    w.field_f64("p99_us_churn", round3(placed.p99_us_churn));
-    w.field_usize("churn_samples", placed.churn_samples);
-    w.field_u64("handoffs", placed.handoffs);
-    w.field_f64("churn_elapsed_s", round3(placed.churn_elapsed_s));
-    w.field_f64("handoff_rate", round3(placed.handoff_rate));
-    w.field_usize("proofs_issued", placed.proofs_issued);
-    w.field_usize("live_proof_count", placed.live_proof_count);
-    w.field_usize("live_cursor_working_set", placed.live_cursor_working_set);
-    w.field_f64(
-        "live_to_working_set_x",
-        round3(placed.live_proof_count as f64 / placed.live_cursor_working_set.max(1) as f64),
+    // E18: the million-object placement phase — custody pinned by the
+    // rendezvous ring across a full coalition, decide throughput with the
+    // whole population resident, churn drain rate and tail latency, and
+    // the compaction-bounded proof memory proxy.
+    run_placement(&mut w, placement_objects, placement_daemons);
+    let mut reps: Vec<(String, usize)> = modes.iter().map(|(n, s)| (n.clone(), s.n)).collect();
+    reps.push(("placement".to_string(), 1));
+    field_run(
+        &mut w,
+        &format!(
+            "{objects}x{accesses}, placement {placement_objects} objects / {placement_daemons} daemons"
+        ),
+        &reps,
     );
-    w.close();
-    w.field_f64("ops_per_sec_1m_objects", round3(placed.ops_per_sec));
-    w.field_f64("p99_us_churn", round3(placed.p99_us_churn));
-    w.field_f64("handoff_rate", round3(placed.handoff_rate));
-    w.field_usize("live_proof_count", placed.live_proof_count);
     let s = w.finish();
 
     std::fs::write(&out, &s).expect("write report");
     print!("{s}");
     eprintln!("wrote {out}");
-}
-
-struct PlacementResult {
-    objects: usize,
-    daemons: usize,
-    hot: usize,
-    steps: usize,
-    compact_after: usize,
-    claims_per_sec: f64,
-    ops_per_sec: f64,
-    decisions: usize,
-    p50_us_churn: f64,
-    p99_us_churn: f64,
-    churn_samples: usize,
-    handoffs: u64,
-    churn_elapsed_s: f64,
-    handoff_rate: f64,
-    proofs_issued: usize,
-    live_proof_count: usize,
-    live_cursor_working_set: usize,
 }
 
 /// E18: the million-object / 8-daemon placement phase.
@@ -271,14 +237,14 @@ struct PlacementResult {
 ///   members) is the RSS proxy; the phase asserts it stays under 2× the
 ///   live-cursor working set (`hot × compact_after`, the window the
 ///   warm cursors are configured to need).
-fn run_placement(objects: usize, daemons: usize) -> PlacementResult {
+///
+/// Writes the full detail as the nested `placement` object of `w`, then
+/// the schema-checked headline keys at top level.
+fn run_placement(w: &mut JsonWriter, objects: usize, daemons: usize) {
     assert!(daemons >= 2, "the churn phase needs a member to leave");
-    let hot = 512.min(objects);
-    let steps = 192usize;
+    let fleet = Fleet::new(512.min(objects), 192);
+    let (hot, steps) = (fleet.objects, fleet.accesses);
     let compact_after = 64usize;
-    let vocab: Vec<Access> = (0..4)
-        .map(|s| Access::new("exec", "rsw", format!("s{s}")))
-        .collect();
 
     // Members: identical hot-set policy replicas, custody enforced,
     // compaction on. The at_most cap compiles to a counting automaton
@@ -286,12 +252,7 @@ fn run_placement(objects: usize, daemons: usize) -> PlacementResult {
     // must admit — each hot object accrues `steps` proofs.
     let mut handles: Vec<DaemonHandle> = Vec::with_capacity(daemons);
     for i in 0..daemons {
-        let guard =
-            CoordinatedGuard::new(ExtendedRbac::new(fleet_model(hot, "rsw", 2 * steps + 2)))
-                .with_mode(EnforcementMode::Reactive);
-        for h in 0..hot {
-            guard.enroll(format!("n{h}"), ["licensee"]);
-        }
+        let guard = fleet.enroll(ExtendedRbac::new(fleet_model(hot, "rsw", 2 * steps + 2)));
         guard.set_custody_enforcement(true);
         let mut cfg = DaemonConfig::new(format!("d{i}"));
         cfg.compact_after = compact_after;
@@ -341,32 +302,24 @@ fn run_placement(objects: usize, daemons: usize) -> PlacementResult {
     // their ring home.
     let timeout = Some(Duration::from_secs(10));
     let mut clients: Vec<Client> = Vec::with_capacity(daemons);
-    let hot_names: Vec<String> = (0..hot).map(|k| format!("n{k}")).collect();
     for h in &handles {
         let mut c = Client::connect(h.addr(), "bench-placement", timeout).expect("connect");
-        c.sync_vocab(
-            hot_names
-                .iter()
-                .map(String::as_str)
-                .chain(["exec", "rsw", "s0", "s1", "s2", "s3"]),
-        )
-        .expect("vocab sync");
+        c.sync_vocab(fleet.wire_names()).expect("vocab sync");
         clients.push(c);
     }
     let mut hot_by_home: Vec<Vec<&str>> = vec![Vec::new(); daemons];
-    for name in &hot_names {
+    for name in &fleet.names {
         hot_by_home[member_idx(ring.home_of(name).expect("nonempty ring"))].push(name);
     }
 
     // Phase 2: steady-state decide throughput at ring homes — one proof
     // replicated per grant (that's what compaction bounds), one batched
     // decide frame per time step per member.
-    let remaining: Vec<Vec<Access>> = vocab.iter().map(|a| vec![a.clone()]).collect();
-    let decisions = hot * steps;
+    let decisions = fleet.decisions();
     let start = Instant::now();
     for k in 0..steps {
-        let a = &vocab[k % vocab.len()];
-        let rem = &remaining[k % vocab.len()];
+        let (a, _) = fleet.step(k);
+        let rem = std::slice::from_ref(a);
         for (d, names) in hot_by_home.iter().enumerate() {
             if names.is_empty() {
                 continue;
@@ -374,10 +327,8 @@ fn run_placement(objects: usize, daemons: usize) -> PlacementResult {
             for obj in names {
                 clients[d].issue_proof(obj, a, k as f64).expect("proof");
             }
-            let items: Vec<(&str, &Access, &[Access], f64)> = names
-                .iter()
-                .map(|obj| (*obj, a, rem.as_slice(), k as f64))
-                .collect();
+            let items: Vec<(&str, &Access, &[Access], f64)> =
+                names.iter().map(|obj| (*obj, a, rem, k as f64)).collect();
             for v in clients[d].decide_batch(&items).expect("batch decide") {
                 assert!(v.is_granted(), "placement workload must be all-grant");
             }
@@ -401,12 +352,12 @@ fn run_placement(objects: usize, daemons: usize) -> PlacementResult {
     let mut rejoined = false;
     let mut s = 0usize;
     loop {
-        let obj = &hot_names[s % hot];
+        let obj = &fleet.names[s % hot];
         let r = if rejoined { &ring } else { &ring_left };
         let d = member_idx(r.home_of(obj).expect("nonempty ring"));
-        let a = &vocab[s % vocab.len()];
+        let (a, _) = fleet.step(s);
         let t = Instant::now();
-        let _ = clients[d].decide_failsafe(obj, a, &remaining[s % vocab.len()], steps as f64);
+        let _ = clients[d].decide_failsafe(obj, a, std::slice::from_ref(a), steps as f64);
         latencies_us.push(t.elapsed().as_secs_f64() * 1e6);
         s += 1;
 
@@ -442,7 +393,6 @@ fn run_placement(objects: usize, daemons: usize) -> PlacementResult {
         .diff(&before)
         .counter(Counter::NetHandoffApplied);
     latencies_us.sort_by(f64::total_cmp);
-    let pct = |p: usize| latencies_us[(latencies_us.len() - 1) * p / 100];
 
     // Phase 4: the RSS proxy. Unsealed proofs across all members against
     // the configured live-cursor working set — the acceptance bound.
@@ -453,174 +403,87 @@ fn run_placement(objects: usize, daemons: usize) -> PlacementResult {
         "compaction failed to bound proof memory: {live_proof_count} live vs working set {live_cursor_working_set}"
     );
 
-    let result = PlacementResult {
-        objects,
-        daemons,
-        hot,
-        steps,
-        compact_after,
-        claims_per_sec,
-        ops_per_sec,
-        decisions,
-        p50_us_churn: pct(50),
-        p99_us_churn: pct(99),
-        churn_samples: latencies_us.len(),
-        handoffs,
-        churn_elapsed_s,
-        handoff_rate: handoffs as f64 / churn_elapsed_s,
-        proofs_issued: decisions,
-        live_proof_count,
-        live_cursor_working_set,
-    };
     drop(clients);
     for mut h in handles {
         h.shutdown();
     }
-    result
+
+    let handoff_rate = handoffs as f64 / churn_elapsed_s;
+    let p99_us_churn = quantile(&latencies_us, 0.99);
+    w.open_object("placement");
+    w.field_usize("objects", objects);
+    w.field_usize("daemons", daemons);
+    w.field_usize("hot_objects", hot);
+    w.field_usize("steps", steps);
+    w.field_usize("compact_after", compact_after);
+    w.field_f64("claims_per_sec", round3(claims_per_sec));
+    w.field_f64("ops_per_sec", round3(ops_per_sec));
+    w.field_usize("decisions", decisions);
+    w.field_f64("p50_us_churn", round3(quantile(&latencies_us, 0.50)));
+    w.field_f64("p99_us_churn", round3(p99_us_churn));
+    w.field_usize("churn_samples", latencies_us.len());
+    w.field_u64("handoffs", handoffs);
+    w.field_f64("churn_elapsed_s", round3(churn_elapsed_s));
+    w.field_f64("handoff_rate", round3(handoff_rate));
+    w.field_usize("proofs_issued", decisions);
+    w.field_usize("live_proof_count", live_proof_count);
+    w.field_usize("live_cursor_working_set", live_cursor_working_set);
+    w.field_f64(
+        "live_to_working_set_x",
+        round3(live_proof_count as f64 / live_cursor_working_set.max(1) as f64),
+    );
+    w.close();
+    w.field_f64("ops_per_sec_1m_objects", round3(ops_per_sec));
+    w.field_f64("p99_us_churn", round3(p99_us_churn));
+    w.field_f64("handoff_rate", round3(handoff_rate));
+    w.field_usize("live_proof_count", live_proof_count);
 }
 
-/// The guard every mode runs against: the all-grant fleet policy with a
-/// live spatial constraint, everyone enrolled.
-fn make_guard(objects: usize, accesses: usize) -> CoordinatedGuard {
-    let guard = CoordinatedGuard::new(ExtendedRbac::new(fleet_model(objects, "rsw", accesses + 2)))
-        .with_mode(EnforcementMode::Reactive);
-    for i in 0..objects {
-        guard.enroll(format!("n{i}"), ["licensee"]);
-    }
-    guard
-}
-
-fn run_in_process(
-    objects: usize,
-    accesses: usize,
-    names: &[String],
-    vocab: &[Access],
-) -> ModeResult {
-    let guard = make_guard(objects, accesses);
-    let proofs = ProofStore::new();
-    let mut table = AccessTable::new();
-    for a in vocab {
-        table.intern(a);
-    }
-    let programs: Vec<Program> = vocab.iter().map(|a| Program::Access(a.clone())).collect();
-
+/// One `DecideBatch2` frame per 32 time steps (all objects): batching
+/// exists to amortize the round trip and the per-frame codec work, so a
+/// realistic client coalesces aggressively. Returns ops/sec.
+fn run_wire_batch(client: &mut Client, fleet: &Fleet) -> f64 {
+    const STEPS_PER_FRAME: usize = 32;
     let start = Instant::now();
-    for k in 0..accesses {
-        let a = &vocab[k % vocab.len()];
-        let prog = &programs[k % vocab.len()];
-        let time = TimePoint::new(k as f64);
-        for obj in names {
-            let req = GuardRequest {
-                object: obj,
-                access: a,
-                remaining: prog,
-                time,
-            };
-            let v = guard.decide(&req, &proofs, &mut table);
+    for k0 in (0..fleet.accesses).step_by(STEPS_PER_FRAME) {
+        let items: Vec<(&str, &Access, &[Access], f64)> = (k0..(k0 + STEPS_PER_FRAME)
+            .min(fleet.accesses))
+            .flat_map(|k| {
+                let (a, _) = fleet.step(k);
+                fleet
+                    .names
+                    .iter()
+                    .map(move |obj| (obj.as_str(), a, std::slice::from_ref(a), k as f64))
+            })
+            .collect();
+        for v in client.decide_batch(&items).expect("batch decide") {
             assert!(v.is_granted(), "fleet workload must be all-grant");
         }
     }
-    ModeResult {
-        name: "in-process".to_string(),
-        ops_per_sec: (objects * accesses) as f64 / start.elapsed().as_secs_f64(),
-        elapsed_s: start.elapsed().as_secs_f64(),
-        decisions: objects * accesses,
-    }
-}
-
-/// Drive one wire mode over an already-connected, vocabulary-synced
-/// session (the measured loop is ids-only frames).
-fn run_wire(
-    client: &mut Client,
-    batch: bool,
-    objects: usize,
-    accesses: usize,
-    names: &[String],
-    vocab: &[Access],
-) -> ModeResult {
-    let remaining: Vec<Vec<Access>> = vocab.iter().map(|a| vec![a.clone()]).collect();
-    // The batch mode ships 32 time steps per frame: batching exists to
-    // amortize the round trip and the per-frame codec work, so a
-    // realistic client coalesces aggressively.
-    const STEPS_PER_FRAME: usize = 32;
-    let start = Instant::now();
-    let mut k = 0;
-    while k < accesses {
-        if batch {
-            let steps = STEPS_PER_FRAME.min(accesses - k);
-            let items: Vec<(&str, &Access, &[Access], f64)> = (k..k + steps)
-                .flat_map(|step| {
-                    let a = &vocab[step % vocab.len()];
-                    let rem = &remaining[step % vocab.len()];
-                    names
-                        .iter()
-                        .map(move |obj| (obj.as_str(), a, rem.as_slice(), step as f64))
-                })
-                .collect();
-            for v in client.decide_batch(&items).expect("batch decide") {
-                assert!(v.is_granted(), "fleet workload must be all-grant");
-            }
-            k += steps;
-        } else {
-            let a = &vocab[k % vocab.len()];
-            let rem = &remaining[k % vocab.len()];
-            for obj in names {
-                let v = client.decide(obj, a, rem, k as f64).expect("decide");
-                assert!(v.is_granted(), "fleet workload must be all-grant");
-            }
-            k += 1;
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    ModeResult {
-        name: if batch {
-            "wire-batch".to_string()
-        } else {
-            "wire-sequential".to_string()
-        },
-        ops_per_sec: (objects * accesses) as f64 / elapsed,
-        elapsed_s: elapsed,
-        decisions: objects * accesses,
-    }
+    fleet.rate(start)
 }
 
 /// E16: drive the workload through a pipelined window of correlated
 /// `Decide2` frames, claiming completions as they land. The submit path
 /// applies backpressure when the window fills, so in-flight depth never
-/// exceeds `window`.
-fn run_wire_pipelined(
-    client: &mut Client,
-    window: usize,
-    objects: usize,
-    accesses: usize,
-    names: &[String],
-    vocab: &[Access],
-) -> ModeResult {
-    let remaining: Vec<Vec<Access>> = vocab.iter().map(|a| vec![a.clone()]).collect();
+/// exceeds `window`. Returns ops/sec.
+fn run_wire_pipelined(client: &mut Client, window: usize, fleet: &Fleet) -> f64 {
     let start = Instant::now();
     let mut granted = 0usize;
     let mut p = client.pipeline(window).expect("pipeline");
-    for k in 0..accesses {
-        let a = &vocab[k % vocab.len()];
-        let rem = &remaining[k % vocab.len()];
-        for obj in names {
-            p.submit(obj, a, rem, k as f64).expect("pipelined submit");
-            for (_, v) in p.take() {
-                assert!(v.is_granted(), "fleet workload must be all-grant");
-                granted += 1;
-            }
+    fleet.for_each(0..fleet.objects, |req| {
+        let rem = std::slice::from_ref(req.access);
+        p.submit(req.object, req.access, rem, req.time.seconds())
+            .expect("pipelined submit");
+        for (_, v) in p.take() {
+            assert!(v.is_granted(), "fleet workload must be all-grant");
+            granted += 1;
         }
-    }
+    });
     for (_, v) in p.finish().expect("pipeline drain") {
         assert!(v.is_granted(), "fleet workload must be all-grant");
         granted += 1;
     }
-    assert_eq!(granted, objects * accesses, "every request must resolve");
-    let elapsed = start.elapsed().as_secs_f64();
-    ModeResult {
-        name: format!("wire-pipelined-w{window}"),
-        ops_per_sec: (objects * accesses) as f64 / elapsed,
-        elapsed_s: elapsed,
-        decisions: objects * accesses,
-    }
+    assert_eq!(granted, fleet.decisions(), "every request must resolve");
+    fleet.rate(start)
 }

@@ -22,6 +22,7 @@ use stacl::sral::builder as b;
 use stacl::trace::abstraction::{traces, AbstractionConfig};
 use stacl::trace::enumerate::enumerate_traces;
 use stacl::trace::synthesis::synthesize;
+use stacl_bench::measure::measure;
 use stacl_bench::{
     conjunctive_policy, licensee_model, log_log_slope, open_model, random_branching_program,
     random_control_program, random_program, satisfied_cap_policy, tour_program, Vocab,
@@ -66,17 +67,14 @@ fn main() {
 
 type GuardMaker = Box<dyn Fn() -> Box<dyn SecurityGuard>>;
 
-fn time_ms(f: impl FnOnce()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-/// Median-of-k timing to damp scheduler noise.
-fn timed_median(k: usize, mut f: impl FnMut()) -> f64 {
-    let mut v: Vec<f64> = (0..k).map(|_| time_ms(&mut f)).collect();
-    v.sort_by(f64::total_cmp);
-    v[k / 2]
+/// The median wall time of `f` under [`measure`], in milliseconds.
+fn median_ms(mut f: impl FnMut()) -> f64 {
+    let spread = measure(|| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
+    });
+    spread.median * 1e3
 }
 
 // ── E1 ──────────────────────────────────────────────────────────────
@@ -93,7 +91,7 @@ fn e1_spatial_scaling() {
         let program = random_control_program(m, &vocab, 42 + m as u64);
         let real_m = program.size();
         let mut states = 0;
-        let ms = timed_median(5, || {
+        let ms = median_ms(|| {
             let mut table = AccessTable::new();
             let v = check_program(&program, &constraint, &mut table, Semantics::ForAll);
             states = v.program_states;
@@ -112,7 +110,7 @@ fn e1_spatial_scaling() {
         let constraint = satisfied_cap_policy(n, &vocab, program.size());
         let real_n = constraint.size();
         // Sub-millisecond checks: batch 10 per timing to beat jitter.
-        let ms = timed_median(5, || {
+        let ms = median_ms(|| {
             for _ in 0..10 {
                 let mut table = AccessTable::new();
                 check_program(&program, &constraint, &mut table, Semantics::ForAll);
@@ -146,12 +144,12 @@ fn e2_completeness() {
         let p0 = random_program(size, &vocab, size as u64);
         let re = traces(&p0, &mut table, AbstractionConfig::default());
         let mut prog = None;
-        let synth_ms = timed_median(3, || {
+        let synth_ms = median_ms(|| {
             prog = Some(synthesize(&re, &table).unwrap());
         });
         let p = prog.unwrap();
         let mut equal = false;
-        let verify_ms = timed_median(3, || {
+        let verify_ms = median_ms(|| {
             let mut t2 = table.clone();
             let re2 = traces(&p, &mut t2, AbstractionConfig::default());
             equal = Dfa::equivalent_regexes(&re, &re2);
@@ -191,11 +189,11 @@ fn e3_temporal() {
                     tl.arrive_at_server(TimePoint::new(t));
                 }
             }
-            let derive_ms = timed_median(3, || {
+            let derive_ms = median_ms(|| {
                 tl.valid_fn();
             });
             let probe = TimePoint::new(t * 0.75);
-            let query_ms = timed_median(3, || {
+            let query_ms = median_ms(|| {
                 tl.is_valid_at(probe);
             });
             println!("    {k:>8} {label:>16} {derive_ms:>14.3} {query_ms:>14.3}");
@@ -259,7 +257,7 @@ fn e4_agent_overhead() {
         for (label, mk_guard) in rows.drain(..) {
             let mut granted = 0;
             let mut denied = 0;
-            let ms = timed_median(5, || {
+            let ms = median_ms(|| {
                 let mut sys = NapletSystem::new(vocab.environment(), mk_guard());
                 sys.spawn(NapletSpec::new("agent0", "s0", mk_prog()));
                 sys.run();
@@ -287,7 +285,7 @@ fn e5_integrity_audit() {
         let victim = g.modules().next().unwrap().name.clone();
         g.tamper(&victim);
         let mut report = None;
-        let ms = timed_median(3, || {
+        let ms = median_ms(|| {
             let mut env = CoalitionEnv::new();
             for m in g.modules() {
                 env.add_resource(&m.server, &m.name, ["verify"]);
@@ -425,14 +423,14 @@ fn e8_trace_ops() {
         let m1 = TraceModel::from_traces([t1]);
         let m2 = TraceModel::from_traces([t2]);
         let mut count = 0usize;
-        let explicit_ms = timed_median(3, || {
+        let explicit_ms = median_ms(|| {
             count = m1.interleave(&m2).len();
         });
         let re = Regex::shuffle(
             Regex::cat_all((0..k as u32).map(|i| Regex::Sym(AccessId(i)))),
             Regex::cat_all((k as u32..2 * k as u32).map(|i| Regex::Sym(AccessId(i)))),
         );
-        let symbolic_ms = timed_median(3, || {
+        let symbolic_ms = median_ms(|| {
             Dfa::from_regex(&re);
         });
         println!("    {k:>4} {count:>16} {explicit_ms:>16.3} {symbolic_ms:>14.3}");
@@ -453,13 +451,13 @@ fn e9_ablation() {
         let right = b::seq((0..k).map(|i| b::access("b", format!("r{i}"), "s2")));
         let p = left.par(right);
         let cons = Constraint::atom("a", "r0", "s1");
-        let symbolic_ms = timed_median(3, || {
+        let symbolic_ms = median_ms(|| {
             let mut table = AccessTable::new();
             let v = check_program(&p, &cons, &mut table, Semantics::ForAll);
             assert!(v.holds);
         });
         let mut n_traces = 0usize;
-        let enum_ms = timed_median(3, || {
+        let enum_ms = median_ms(|| {
             let mut table = AccessTable::new();
             let re = traces(&p, &mut table, AbstractionConfig::default());
             let d = Dfa::from_regex(&re);
@@ -497,7 +495,7 @@ fn e10_gate_ablation() {
         let constraint = g.dependency_constraint();
         let program = g.audit_program_sequential();
         // Raw checker, repeated 3× as the gate would.
-        let uncached_ms = timed_median(3, || {
+        let uncached_ms = median_ms(|| {
             let mut table = AccessTable::new();
             for _ in 0..3 {
                 check_residual(
@@ -513,7 +511,7 @@ fn e10_gate_ablation() {
             "    {n:>8} {:>22} {uncached_ms:>12.2}",
             "checker-uncached(3x)"
         );
-        let cached_ms = timed_median(3, || {
+        let cached_ms = median_ms(|| {
             let mut table = AccessTable::new();
             let mut cache = ConstraintCache::new();
             for _ in 0..3 {
@@ -540,7 +538,7 @@ fn e10_gate_ablation() {
         )
     }));
     let program = random_branching_program(40, &vocab, 3);
-    let uncached_ms = timed_median(3, || {
+    let uncached_ms = median_ms(|| {
         let mut table = AccessTable::new();
         for _ in 0..3 {
             check_residual(
@@ -556,7 +554,7 @@ fn e10_gate_ablation() {
         "    {:>8} {:>22} {uncached_ms:>12.2}",
         "-", "checker-uncached(3x)"
     );
-    let cached_ms = timed_median(3, || {
+    let cached_ms = median_ms(|| {
         let mut table = AccessTable::new();
         let mut cache = ConstraintCache::new();
         for _ in 0..3 {

@@ -2,15 +2,23 @@
 //! harness (the workspace builds hermetically with no external crates).
 //!
 //! It implements exactly the surface the E1–E10 bench files use —
-//! `Criterion::benchmark_group`, group configuration, `bench_with_input`
-//! / `bench_function`, `Bencher::iter`, `BenchmarkId`, and the
-//! `criterion_group!` / `criterion_main!` macros — with a simple
-//! warm-up + sampled-median measurement loop, reporting one line per
-//! benchmark to stdout.
+//! `Criterion::benchmark_group`, `bench_with_input` / `bench_function`,
+//! `Bencher::iter`, `BenchmarkId`, and the `criterion_group!` /
+//! `criterion_main!` macros. Timing is [`crate::measure::measure`]'s:
+//! each sample is a batch of iterations sized to `SAMPLE_SECS`, and
+//! the report is one line per benchmark to stdout with the median
+//! per-iteration time and its interquartile range. The repetition
+//! limits are `measure`'s constants, so the group carries no sample,
+//! warm-up or measurement-time settings.
 
 use std::fmt::Display;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+use crate::measure::{measure, Spread};
+
+/// The target wall time of one sample's batch of iterations.
+const SAMPLE_SECS: f64 = 0.02;
 
 /// The benchmark driver handed to every `criterion_group!` target.
 #[derive(Default)]
@@ -22,9 +30,6 @@ impl Criterion {
         BenchmarkGroup {
             _criterion: self,
             name: name.into(),
-            sample_size: 20,
-            warm_up: Duration::from_millis(300),
-            measurement: Duration::from_millis(1000),
         }
     }
 }
@@ -66,34 +71,13 @@ impl From<String> for BenchmarkId {
     }
 }
 
-/// A group of benchmarks sharing measurement configuration.
+/// A named group of related benchmarks.
 pub struct BenchmarkGroup<'a> {
     _criterion: &'a mut Criterion,
     name: String,
-    sample_size: usize,
-    warm_up: Duration,
-    measurement: Duration,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Number of samples per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Warm-up (and iteration-count estimation) duration.
-    pub fn warm_up_time(&mut self, d: Duration) -> &mut Self {
-        self.warm_up = d;
-        self
-    }
-
-    /// Total measurement duration budget across samples.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.measurement = d;
-        self
-    }
-
     /// Run one benchmark with an input value.
     pub fn bench_with_input<I: ?Sized, F>(
         &mut self,
@@ -104,107 +88,63 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let mut bencher = Bencher {
-            sample_size: self.sample_size,
-            warm_up: self.warm_up,
-            measurement: self.measurement,
-            stats: None,
-        };
-        f(&mut bencher, input);
-        self.report(&id.label, bencher.stats);
-        self
+        self.run(&id.label, |b| f(b, input))
     }
 
     /// Run one benchmark without a separate input.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into();
-        let mut bencher = Bencher {
-            sample_size: self.sample_size,
-            warm_up: self.warm_up,
-            measurement: self.measurement,
-            stats: None,
-        };
-        f(&mut bencher);
-        self.report(&id.label, bencher.stats);
-        self
+        self.run(&id.into().label, f)
     }
 
     /// Finish the group (reporting happens per benchmark).
     pub fn finish(self) {}
 
-    fn report(&self, label: &str, stats: Option<Stats>) {
-        match stats {
-            Some(s) => println!(
-                "{}/{label:<40} median {:>12}  (min {}, max {}, {} iters/sample × {} samples)",
+    fn run(&mut self, label: &str, f: impl FnOnce(&mut Bencher)) -> &mut Self {
+        let mut bencher = Bencher { stats: None };
+        f(&mut bencher);
+        match bencher.stats {
+            Some((s, iters)) => println!(
+                "{}/{label:<40} median {:>12}  (min {}, IQR {}..{}, max {}, {iters} iters/sample × {} samples)",
                 self.name,
                 fmt_time(s.median),
                 fmt_time(s.min),
+                fmt_time(s.q1),
+                fmt_time(s.q3),
                 fmt_time(s.max),
-                s.iters_per_sample,
-                s.samples,
+                s.n,
             ),
             None => println!("{}/{label:<40} (no measurement)", self.name),
         }
+        self
     }
-}
-
-#[derive(Clone, Copy)]
-struct Stats {
-    median: f64,
-    min: f64,
-    max: f64,
-    iters_per_sample: u64,
-    samples: usize,
 }
 
 /// The timing loop handed to each benchmark closure.
 pub struct Bencher {
-    sample_size: usize,
-    warm_up: Duration,
-    measurement: Duration,
-    stats: Option<Stats>,
+    /// Per-iteration seconds, and iterations per sample.
+    stats: Option<(Spread, u64)>,
 }
 
 impl Bencher {
-    /// Measure a routine: warm up (estimating per-iteration cost), then
-    /// take `sample_size` samples sized to fill the measurement budget,
-    /// recording the per-iteration mean of each sample.
+    /// Measure a routine: one timed call sizes the batch of iterations
+    /// per sample, then [`measure`] takes the samples, each the mean
+    /// per-iteration time of one batch.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
-        // Warm-up doubles as the iteration-cost estimate.
-        let start = Instant::now();
-        let mut warm_iters: u64 = 0;
-        loop {
-            black_box(routine());
-            warm_iters += 1;
-            if start.elapsed() >= self.warm_up {
-                break;
-            }
-        }
-        let per_iter = start.elapsed().as_secs_f64() / warm_iters as f64;
-
-        let samples = self.sample_size;
-        let budget_per_sample = self.measurement.as_secs_f64() / samples as f64;
-        let iters_per_sample = ((budget_per_sample / per_iter.max(1e-9)).ceil() as u64).max(1);
-
-        let mut means = Vec::with_capacity(samples);
-        for _ in 0..samples {
+        let t0 = Instant::now();
+        black_box(routine());
+        let per_iter = t0.elapsed().as_secs_f64();
+        let iters = ((SAMPLE_SECS / per_iter.max(1e-9)).ceil() as u64).max(1);
+        let spread = measure(|| {
             let t0 = Instant::now();
-            for _ in 0..iters_per_sample {
+            for _ in 0..iters {
                 black_box(routine());
             }
-            means.push(t0.elapsed().as_secs_f64() / iters_per_sample as f64);
-        }
-        means.sort_by(f64::total_cmp);
-        self.stats = Some(Stats {
-            median: means[samples / 2],
-            min: means[0],
-            max: means[samples - 1],
-            iters_per_sample,
-            samples,
+            t0.elapsed().as_secs_f64() / iters as f64
         });
+        self.stats = Some((spread, iters));
     }
 }
 
@@ -249,9 +189,6 @@ mod tests {
     fn bench_loop_produces_stats() {
         let mut c = Criterion::default();
         let mut group = c.benchmark_group("shim-test");
-        group.sample_size(3);
-        group.warm_up_time(Duration::from_millis(5));
-        group.measurement_time(Duration::from_millis(15));
         group.bench_with_input(BenchmarkId::new("square", 7), &7u64, |bch, &x| {
             bch.iter(|| x * x)
         });

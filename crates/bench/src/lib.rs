@@ -3,6 +3,9 @@
 //! All generators are seeded and deterministic so every experiment run is
 //! reproducible; sizes are parameters so the benches can sweep them.
 
+use std::time::Instant;
+
+use stacl::naplet::guard::GuardRequest;
 use stacl::prelude::*;
 use stacl::srac::Constraint;
 use stacl::sral::builder as b;
@@ -10,6 +13,7 @@ use stacl::sral::expr::{CmpOp, Cond, Expr};
 use stacl::sral::Program;
 
 pub mod criterion;
+pub mod measure;
 
 /// The deterministic generator threaded through every workload builder
 /// (in-tree SplitMix64; the workspace builds hermetically, with no
@@ -336,6 +340,124 @@ pub fn fleet_model(objects: usize, resource: &str, cap: usize) -> RbacModel {
         m.assign_user(&user, "licensee").unwrap();
     }
     m
+}
+
+/// The E12 fleet workload: `objects` mobile objects `n0`..`n{N-1}`
+/// under [`fleet_model`], each deciding `accesses` granted accesses
+/// round-robin (every object decides time step `k` before any decides
+/// `k + 1`: the harshest interleaving for a from-scratch core, since
+/// every object's history grows between its consecutive decisions).
+/// The access of step `k` is `exec rsw` on server `s{k mod 4}`, so a
+/// cursor alphabet holds more than one symbol.
+pub struct Fleet {
+    /// How many objects.
+    pub objects: usize,
+    /// Decisions per object.
+    pub accesses: usize,
+    /// The object names.
+    pub names: Vec<String>,
+    vocab: Vec<Access>,
+    programs: Vec<Program>,
+}
+
+impl Fleet {
+    /// The `objects × accesses` fleet.
+    pub fn new(objects: usize, accesses: usize) -> Fleet {
+        let vocab: Vec<Access> = (0..4)
+            .map(|s| Access::new("exec", "rsw", format!("s{s}")))
+            .collect();
+        Fleet {
+            objects,
+            accesses,
+            names: (0..objects).map(|i| format!("n{i}")).collect(),
+            programs: vocab.iter().map(|a| Program::Access(a.clone())).collect(),
+            vocab,
+        }
+    }
+
+    /// Decisions in one full run.
+    pub fn decisions(&self) -> usize {
+        self.objects * self.accesses
+    }
+
+    /// The access (and one-access remaining program) of time step `k`.
+    pub fn step(&self, k: usize) -> (&Access, &Program) {
+        (&self.vocab[k % 4], &self.programs[k % 4])
+    }
+
+    /// Every name a wire client syncs: the objects, then the atoms of
+    /// the accesses.
+    pub fn wire_names(&self) -> impl Iterator<Item = &str> {
+        self.names
+            .iter()
+            .map(String::as_str)
+            .chain(["exec", "rsw", "s0", "s1", "s2", "s3"])
+    }
+
+    /// A fresh reactive guard over [`fleet_model`] with every object
+    /// enrolled; its cap exceeds the per-object access count, so every
+    /// decision is a grant and the measured cost is the spatial check.
+    pub fn guard(&self) -> CoordinatedGuard {
+        self.enroll(ExtendedRbac::new(fleet_model(
+            self.objects,
+            "rsw",
+            self.accesses + 2,
+        )))
+    }
+
+    /// A reactive guard over `rbac` with every object enrolled as
+    /// `licensee`.
+    pub fn enroll(&self, rbac: ExtendedRbac) -> CoordinatedGuard {
+        let guard = CoordinatedGuard::new(rbac).with_mode(EnforcementMode::Reactive);
+        for n in &self.names {
+            guard.enroll(n, ["licensee"]);
+        }
+        guard
+    }
+
+    /// An access table with the workload's accesses interned first (so
+    /// the first cursor built for an object already covers them), padded
+    /// to `total_ids` with filler the fleet constraint's `resource = rsw`
+    /// selector never matches.
+    pub fn table(&self, total_ids: usize) -> AccessTable {
+        let mut table = AccessTable::new();
+        for a in &self.vocab {
+            table.intern(a);
+        }
+        let mut j = 0usize;
+        while table.len() < total_ids {
+            table.intern(&Access::new("read", "db", format!("p{j}")));
+            j += 1;
+        }
+        table
+    }
+
+    /// Present every request of the objects `who` (indices into
+    /// [`Fleet::names`]) to `decide`, time step by time step.
+    pub fn for_each(
+        &self,
+        who: impl Iterator<Item = usize> + Clone,
+        mut decide: impl FnMut(&GuardRequest<'_>),
+    ) {
+        for k in 0..self.accesses {
+            let (access, remaining) = self.step(k);
+            let time = TimePoint::new(k as f64);
+            for i in who.clone() {
+                decide(&GuardRequest {
+                    object: &self.names[i],
+                    access,
+                    remaining,
+                    time,
+                });
+            }
+        }
+    }
+
+    /// One full run's throughput when it started at `start`, in
+    /// decisions per second.
+    pub fn rate(&self, start: Instant) -> f64 {
+        self.decisions() as f64 / start.elapsed().as_secs_f64()
+    }
 }
 
 /// Fit the slope of `log(y) ~ slope * log(x) + c` — the empirical scaling

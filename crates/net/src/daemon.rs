@@ -27,7 +27,8 @@
 //! A `Decide2` for an object this member does not hold, and which the
 //! placement ring homes on another member, is answered
 //! `Err2 { ERR_NOT_CUSTODIAN }` (counted `placement.redirect`); the
-//! caller locates the home and takes one hop.
+//! caller locates the home and takes one hop. A `DecideBatch2` with any
+//! such item is refused whole, the same way.
 //!
 //! ## Custody and the handoff pull
 //!
@@ -864,9 +865,16 @@ fn handle_frame(
             push_correlated(conn, reply);
         }
         Frame::DecideBatch2 { id, items } => {
+            // A misrouted item refuses the whole batch, like a malformed
+            // one: the caller re-routes, rather than reading a fail-safe
+            // denial as the home member's answer.
             let reply = match items
                 .iter()
-                .map(|it| own_request(&conn.vocab, it))
+                .map(|it| {
+                    let req = own_request(&conn.vocab, it)?;
+                    misrouted(shared, &req.object)?;
+                    Ok(req)
+                })
                 .collect::<Result<Vec<_>, Reject>>()
             {
                 Ok(owned) => Frame::VerdictBatch2 {

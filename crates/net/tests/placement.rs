@@ -271,6 +271,64 @@ fn misrouted_decide_in_a_window_gets_err2_alone() {
     }
 }
 
+/// A `DecideBatch2` holding one item for an object the ring homes on
+/// another member is refused whole with `Err2 { ERR_NOT_CUSTODIAN }`
+/// (counted `placement.redirect`), exactly as that item alone as a
+/// `Decide2` — not answered with a fail-safe denial for that item.
+#[test]
+fn misrouted_item_refuses_the_whole_decide_batch() {
+    stacl_obs::set_telemetry(true);
+    let baseline = stacl_obs::snapshot();
+
+    let handles: Vec<DaemonHandle> = (0..3).map(|i| spawn_daemon(&format!("mb-d{i}"))).collect();
+    let members = members_of(&handles);
+    for h in &handles {
+        h.set_members(&members);
+    }
+    let ring = Placement::new(members.iter().map(|(n, _)| n.clone()));
+    let member = handles[0].name().to_string();
+    let local: Vec<String> = objects()
+        .into_iter()
+        .filter(|o| ring.home_of(o) == Some(member.as_str()))
+        .collect();
+    let foreign = objects()
+        .into_iter()
+        .find(|o| ring.home_of(o) != Some(member.as_str()))
+        .expect("some object is homed elsewhere");
+    assert!(!local.is_empty(), "16 objects over 3 members");
+
+    let mut c =
+        Client::connect(handles[0].addr(), "t", Some(Duration::from_secs(5))).expect("connect");
+    c.arrive(&local[0], 0.0, None).expect("home arrival");
+    let a = Access::new("read", "db", "s0");
+    let rem = [a.clone()];
+    let granted = c
+        .decide_batch(&[(local[0].as_str(), &a, &rem[..], 1.0)])
+        .expect("a well-routed batch decides");
+    assert_eq!(granted[0].kind, DecisionKind::Granted);
+
+    let batch = [
+        (local[0].as_str(), &a, &rem[..], 2.0),
+        (foreign.as_str(), &a, &rem[..], 2.0),
+    ];
+    match c.decide_batch(&batch) {
+        Err(NetError::Daemon { code, msg }) => {
+            assert_eq!(code, ERR_NOT_CUSTODIAN, "misroute code");
+            assert!(msg.contains("homed on"), "refusal names the home: {msg}");
+        }
+        other => panic!("a misrouted batch item must refuse the batch, got {other:?}"),
+    }
+    let d = stacl_obs::snapshot().diff(&baseline);
+    assert!(
+        d.counter(Counter::PlacementRedirect) >= 1,
+        "misroute counted as a redirect"
+    );
+
+    for mut h in handles {
+        h.shutdown();
+    }
+}
+
 /// Churn rebalancing: a join drains exactly the keys the joiner now
 /// wins; a graceful leave drains everything the leaver held. Keys whose
 /// home never moved are untouched.
